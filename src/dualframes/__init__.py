@@ -12,7 +12,6 @@ from .frames import (
     frame_bounds,
     frame_operator,
     is_dual,
-    realize_dual,
     row_delete,
 )
 from .sparsity import (
@@ -59,7 +58,6 @@ __all__ = [
     "is_general_position",
     "lambda_region",
     "prescribed_spectrum_dual",
-    "realize_dual",
     "row_delete",
     "spark",
     "sparsest_dual",

@@ -3,7 +3,8 @@
 Matrices travel as MatrixFiles (see matrixio), results as JSON reports with
 stable key order.  Exit codes: 0 ok, 2 parse/rank failure, 3 subset budget,
 4 no tight dual, 5 bound infeasible, 6 bad spectrum target, 7 invalid tetris
-spectrum.  Row/pick indices on the command line are 1-based.
+spectrum, 8 enumeration truncated at --limit (the report is still printed).
+Row/pick indices on the command line are 1-based.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .errors import (
     RankDeficient,
     SizeLimit,
     TooManyPicks,
+    Truncated,
 )
 from .frames import (
     Frame,
@@ -49,6 +51,7 @@ EXIT_NO_TIGHT_DUAL = 4
 EXIT_BOUND_INFEASIBLE = 5
 EXIT_BAD_TARGET = 6
 EXIT_INVALID_SPECTRUM = 7
+EXIT_TRUNCATED = 8
 
 
 def _digest(path):
@@ -84,10 +87,6 @@ def _emit(report, as_json, summary_lines):
             print(line)
 
 
-def _write_output(mat, path):
-    write_matrix(mat, path)
-
-
 def _load_frame(path, exact=None, tol=None):
     mat = read_matrix(path)
     if exact is False and numerics.is_rational(mat):
@@ -105,7 +104,7 @@ def cmd_analyze(args):
     dual = canonical_dual(frame)
     region = spectral.lambda_region(frame)
     if args.output:
-        _write_output(dual.matrix, args.output)
+        write_matrix(dual.matrix, args.output)
     results = {
         "n": frame.n,
         "m": frame.m,
@@ -149,14 +148,22 @@ def cmd_sparsest(args):
         "zero_columns": zero_cols,
         "dual": _matrix_json(psi.matrix),
     }
+    code = EXIT_OK
     if args.all:
-        duals = sparsity.enumerate_sparsest_duals(
-            frame, limit=args.limit, **kwargs
-        )
+        try:
+            duals = sparsity.enumerate_sparsest_duals(
+                frame, limit=args.limit, **kwargs
+            )
+        except Truncated as exc:
+            print(f"warning: {exc}", file=sys.stderr)
+            duals = exc.partial
+            code = EXIT_TRUNCATED
         results["all_duals"] = [_matrix_json(d.matrix) for d in duals]
         results["count"] = len(duals)
+        if code == EXIT_TRUNCATED:
+            results["truncated"] = True
     if args.output:
-        _write_output(psi.matrix, args.output)
+        write_matrix(psi.matrix, args.output)
     report = _report(
         "sparsest", args, results,
         tolerances={"rank": args.tol or "auto"},
@@ -165,9 +172,10 @@ def cmd_sparsest(args):
     )
     lines = [f"sparsity: {results['sparsity']}"]
     if args.all:
-        lines.append(f"sparsest duals: {results['count']}")
+        lines.append(f"sparsest duals: {results['count']}"
+                     + (" (truncated)" if code == EXIT_TRUNCATED else ""))
     _emit(report, args.json, lines)
-    return EXIT_OK
+    return code
 
 
 def cmd_tight(args):
@@ -177,7 +185,7 @@ def cmd_tight(args):
     ok, resid = is_dual(frame, dual, 1e-9)
     measured = numerics.singular_values(dual.matrix)
     if args.output:
-        _write_output(dual.matrix, args.output)
+        write_matrix(dual.matrix, args.output)
     results = {
         "sigma_psi": spec.sigma_psi,
         "frame_bound": spec.sigma_psi ** 2,
@@ -210,7 +218,7 @@ def cmd_prescribe(args):
     ok, resid = is_dual(frame, dual, 1e-9)
     measured = numerics.singular_values(dual.matrix)
     if args.output:
-        _write_output(dual.matrix, args.output)
+        write_matrix(dual.matrix, args.output)
     results = {
         "requested": {str(i + 1): q for i, q in sorted(picks.items())},
         "measured_spectrum": [float(s) for s in measured],
@@ -262,12 +270,12 @@ def cmd_tetris(args):
         "frame": _matrix_json(frame.matrix),
     }
     if args.output:
-        _write_output(frame.matrix, args.output)
+        write_matrix(frame.matrix, args.output)
     if args.dual:
         dual = tetris.tetris_sparse_dual(plan)
         results["dual"] = _matrix_json(dual.matrix)
         if args.dual_output:
-            _write_output(dual.matrix, args.dual_output)
+            write_matrix(dual.matrix, args.dual_output)
     report = _report("tetris", args, results, t0=t0)
     _emit(report, args.json, [
         f"tetris frame {plan.n}x{plan.m}: k_hat={plan.k_hat} "
@@ -347,7 +355,7 @@ def cmd_generate(args):
     else:
         raise BadTarget(f"unknown generator {args.generator!r}")
     out = args.output or f"{args.generator}.csv"
-    _write_output(frame.matrix, out)
+    write_matrix(frame.matrix, out)
     results = {"n": frame.n, "m": frame.m, "file": out}
     report = _report("generate", args, results, t0=t0)
     _emit(report, args.json, [f"wrote {frame.n}x{frame.m} frame to {out}"])
@@ -376,9 +384,11 @@ def build_parser():
     sp.add_argument("input")
     sp.add_argument("--all", action="store_true", help="enumerate all sparsest duals")
     sp.add_argument("--limit", type=int, help="cap for --all enumeration")
-    sp.add_argument("--exact", action="store_true", help="require the exact rational path")
+    sp.add_argument("--exact", action="store_true", default=None,
+                    help="require the exact rational path (default: decided by the file)")
     sp.add_argument("--tol", type=float, help="rank tolerance on the floating path")
-    sp.add_argument("--budget", type=int, help="subset search budget")
+    sp.add_argument("--budget", type=int,
+                    help="subset search budget in (row, subset) pairs examined")
     common(sp)
     sp.set_defaults(func=cmd_sparsest)
 

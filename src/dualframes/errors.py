@@ -30,15 +30,17 @@ class IndexOutOfRange(DualFramesError, IndexError):
 
 
 class SizeLimit(DualFramesError):
-    """Combinatorial subset search exceeded its budget."""
+    """Combinatorial subset search exceeded its budget.
 
-    def __init__(self, message, budget=None):
+    ``cardinality`` is the subset size the search had reached and ``rows``
+    the rows still undecided there (None for a search over one matrix).
+    """
+
+    def __init__(self, message, budget=None, cardinality=None, rows=None):
         super().__init__(message)
         self.budget = budget
-
-
-class AmbiguousSupport(DualFramesError):
-    """A minimal support carries a dependency space of dimension >= 2."""
+        self.cardinality = cardinality
+        self.rows = rows
 
 
 class SingularSubset(DualFramesError, ValueError):

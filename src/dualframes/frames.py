@@ -209,10 +209,6 @@ class DualParametrization:
         return Frame(self.svd.u @ self.m_psi() @ self.svd.v.conj().T)
 
 
-def realize_dual(parametrization):
-    return parametrization.realize()
-
-
 def dual_set_dimension(frame):
     """Affine dimension n(m-n) of the set of all duals."""
     return frame.n * (frame.m - frame.n)

@@ -20,8 +20,11 @@ import numpy as np
 from .errors import ParseError
 from .numerics import FIELD_COMPLEX, FIELD_RATIONAL, FIELD_REAL, field_of
 
+# an unsigned decimal with an optional signed exponent, as repr writes it
+_NUM = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _COMPLEX_RE = re.compile(
-    r"^(?P<re>[+-]?[0-9.eE+-]*?)(?P<im>[+-][0-9.eE]*)i$|^(?P<only>[+-]?[0-9.eE]*)i$"
+    rf"^(?P<re>[+-]?{_NUM})?(?P<im>[+-](?:{_NUM})?)i$"
+    rf"|^(?P<only>[+-]?(?:{_NUM})?)i$"
 )
 
 

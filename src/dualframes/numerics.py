@@ -8,6 +8,7 @@ recognised by their object dtype; every entry must then be a Fraction or int.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -154,19 +155,74 @@ def rank_exact(a):
 def rank_tol(a, tol=None):
     """Tolerance-based rank; exact on rational matrices (tol ignored).
 
-    Auto threshold: max(rows, cols) * machine_eps * sigma_max.
+    ``a`` may be one matrix or a ``(k, r, s)`` stack, whose ranks come back
+    as an integer array of length k.  Auto threshold, per matrix:
+    max(r, s) * machine_eps * sigma_max.
     """
     a = np.asarray(a)
     if a.ndim == 1:
         a = a.reshape(1, -1)
-    if a.size == 0:
+    if a.ndim > 2:
+        if is_rational(a):
+            return np.array([rank_exact(x) for x in a], dtype=int)
+        if a.size == 0:
+            return np.zeros(a.shape[:-2], dtype=int)
+    elif a.size == 0:
         return 0
-    if is_rational(a):
+    elif is_rational(a):
         return rank_exact(a)
     s = np.linalg.svd(a, compute_uv=False)
     if tol is None:
-        tol = max(a.shape) * np.finfo(float).eps * (s[0] if len(s) else 0.0)
-    return int(np.sum(s > tol))
+        tol = max(a.shape[-2:]) * np.finfo(float).eps * s[..., :1]
+    ranks = np.sum(s > tol, axis=-1)
+    return int(ranks) if a.ndim == 2 else ranks
+
+
+def integer_rows(a):
+    """Rational matrix with each row scaled by the lcm of its denominators,
+    as a list of integer rows.  Row scaling keeps every column dependency,
+    so ranks and spans of column subsets can be decided on the result."""
+    out = []
+    for row in np.asarray(a, dtype=object):
+        fracs = [Fraction(x) for x in row]
+        d = math.lcm(*(f.denominator for f in fracs))
+        out.append([f.numerator * (d // f.denominator) for f in fracs])
+    return out
+
+
+def bareiss_span(rows, cols):
+    """Fraction-free elimination of ``[A_S | I_n]`` for the integer matrix
+    ``rows`` (A) and the column subset ``cols`` (S), pivoting in the A_S
+    block only (Bareiss, Math. Comp. 1968).
+
+    Returns ``(rank, in_span)``: the rank of A_S, and for each j whether e_j
+    lies in the column span of A_S, which holds iff column j of the
+    eliminated identity block vanishes on the rows without a pivot.  Every
+    entry stays an integer minor of the augmented matrix, so each division
+    is exact.
+    """
+    n, s = len(rows), len(cols)
+    m = [[row[c] for c in cols] + [int(i == k) for k in range(n)]
+         for i, row in enumerate(rows)]
+    prev, r = 1, 0
+    for c in range(s):
+        p = next((i for i in range(r, n) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        top = m[r][c + 1:]
+        pv = m[r][c]
+        for i in range(r + 1, n):
+            f = m[i][c]
+            m[i][c + 1:] = [
+                (pv * x - f * y) // prev for x, y in zip(m[i][c + 1:], top)
+            ]
+            m[i][c] = 0
+        prev = pv
+        r += 1
+        if r == n:
+            return r, [True] * n
+    return r, [all(m[i][s + j] == 0 for i in range(r, n)) for j in range(n)]
 
 
 def nullspace_exact(a):

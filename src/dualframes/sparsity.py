@@ -2,22 +2,26 @@
 
 Spark decisions are discrete, so the exact rational backend is used whenever
 the frame carries rational entries; the floating path uses tolerance-based
-rank and marks its results tolerance-dependent.  All subset scans run in
-lexicographic order and increasing cardinality, which makes every reported
+rank and marks its results tolerance-dependent.  Every subset search runs
+through one scanner that walks the column subsets in increasing cardinality
+and lexicographic order within a cardinality, which makes every reported
 support and every enumerated dual deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import AmbiguousSupport, SizeLimit, SingularSubset, Truncated
-from .frames import Frame, is_dual, row_delete
+from .errors import IndexOutOfRange, SizeLimit, SingularSubset, Truncated
+from .frames import Frame, row_delete
 from .numerics import (
+    bareiss_span,
+    integer_rows,
     inverse_exact,
     is_rational,
     nullspace_basis,
@@ -26,6 +30,8 @@ from .numerics import (
 )
 
 DEFAULT_BUDGET = 20_000_000
+# subsets per stacked rank decision; bounds the memory of one stack
+_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -59,20 +65,81 @@ class SparsityCertificate:
 
 
 class _Budget:
+    """Subset-search budget; one unit is one (row, subset) pair examined,
+    or one subset for a search that decides no rows."""
+
     def __init__(self, limit):
         self.limit = limit
         self.used = 0
 
-    def spend(self, k=1):
-        self.used += k
-        if self.used > self.limit:
+    def spend(self, units, cardinality, rows):
+        if self.used + units > self.limit:
+            rows = list(rows) or None
+            where = f"at cardinality {cardinality}"
+            if rows:
+                where += f" with rows {rows} still open"
             raise SizeLimit(
-                f"subset search budget {self.limit} exceeded", budget=self.limit
+                f"subset search budget {self.limit} exceeded {where}",
+                budget=self.limit, cardinality=cardinality, rows=rows,
             )
+        self.used += units
 
 
-def _rank(a, tol=None):
-    return rank_tol(a, tol)
+class _Scanner:
+    """Rank decisions over the column subsets of one n-by-m matrix.
+
+    For each subset S it decides rank(A_S) and, for every requested row j,
+    rank(A^{(j)}_S) of A_S with row j deleted.  The float path stacks the
+    subsets of a chunk into one ``rank_tol`` call for the A_S and one for
+    the A^{(j)}_S, each matrix judged by its own threshold.  The exact path
+    clears denominators once, then one fraction-free elimination of
+    [A_S | I_n] per subset gives both: rank(A^{(j)}_S) = rank(A_S) - 1 when
+    e_j lies in span(A_S), and rank(A_S) otherwise.
+    """
+
+    def __init__(self, a, budget, tol):
+        self.a = a
+        self.n, self.m = a.shape
+        self.budget = budget
+        self.tol = tol
+        self.ints = integer_rows(a) if is_rational(a) else None
+
+    def chunks(self, s, rows=()):
+        """Charge cardinality s to the budget, then yield
+        ``(subsets, full, deleted)`` per chunk of s-subsets in lexicographic
+        order: ``full[k]`` = rank(A_S), ``deleted[k, i]`` = rank(A^{(rows[i])}_S).
+        """
+        self.budget.spend(max(len(rows), 1) * math.comb(self.m, s), s, rows)
+        combos = itertools.combinations(range(self.m), s)
+        while block := list(itertools.islice(combos, _CHUNK)):
+            if self.ints is None:
+                yield (block, *self._float_ranks(block, s, rows))
+            else:
+                yield (block, *self._exact_ranks(block, rows))
+
+    def _float_ranks(self, block, s, rows):
+        n = self.n
+        idx = np.array(block, dtype=np.intp).reshape(len(block), s)
+        stack = self.a[:, idx].transpose(1, 0, 2)
+        full = rank_tol(stack, self.tol)
+        if not rows:
+            return full, np.empty((len(block), 0), dtype=int)
+        keep = np.array(
+            [[i for i in range(n) if i != j] for j in rows], dtype=np.intp
+        )
+        deleted = rank_tol(
+            stack[:, keep].reshape(len(block) * len(rows), n - 1, s), self.tol
+        ).reshape(len(block), len(rows))
+        return full, deleted
+
+    def _exact_ranks(self, block, rows):
+        full = np.empty(len(block), dtype=int)
+        deleted = np.empty((len(block), len(rows)), dtype=int)
+        for k, cols in enumerate(block):
+            r, in_span = bareiss_span(self.ints, cols)
+            full[k] = r
+            deleted[k] = [r - in_span[j] for j in rows]
+        return full, deleted
 
 
 def spark(a, budget=DEFAULT_BUDGET, tol=None):
@@ -82,60 +149,60 @@ def spark(a, budget=DEFAULT_BUDGET, tol=None):
         a = a.reshape(1, -1)
     n, m = a.shape
     exact = is_rational(a)
-    bud = _Budget(budget)
-    r = _rank(a, tol)
+    r = rank_tol(a, tol)
     if r == m:
         # all columns independent; n+1 convention for invertible square
         return SparkReport(spark=m + 1, witness=None,
                            tolerance_dependent=not exact)
+    scan = _Scanner(a, _Budget(budget), tol)
     for s in range(1, r + 2):
-        for cols in itertools.combinations(range(m), s):
-            bud.spend()
-            if _rank(a[:, cols], tol) < s:
-                return SparkReport(spark=s, witness=cols,
+        for block, full, _ in scan.chunks(s):
+            dependent = np.flatnonzero(full < s)
+            if dependent.size:
+                return SparkReport(spark=s, witness=block[dependent[0]],
                                    tolerance_dependent=not exact)
     raise AssertionError("unreachable: rank-deficient matrix has a dependent set")
 
 
-def _row_support_candidates(frame, j, budget, tol):
-    """All minimal supports S for row j with Phi^{(j)}_S dependent and
-    Phi_S independent, together with the dependency vector and scale.
+def _row_supports(frame, rows, budget, tol):
+    """spark_j and all minimal supports of each row j in ``rows``, from one
+    pass over the subsets.
 
-    Returns (spark_j, list of (support, lambda, a)).
+    A support S of row j has Phi^{(j)}_S dependent and Phi_S independent,
+    i.e. e_j in span(Phi_S); spark_j is the smallest |S| with a support.
+    Returns {j: (spark_j, supports in lexicographic order)}.
     """
-    phi = frame.matrix
-    sub = row_delete(frame, j)
-    m = frame.m
+    scan = _Scanner(frame.matrix, budget, tol)
+    found = {}
+    open_rows = list(rows)
     for s in range(1, frame.n + 1):
-        found = []
-        for cols in itertools.combinations(range(m), s):
-            budget.spend()
-            block = sub[:, cols]
-            if _rank(block, tol) >= s:
-                continue
-            if _rank(phi[:, cols], tol) < s:
-                continue
-            nb = nullspace_basis(block, tol)
-            if nb.shape[1] != 1:
-                # cannot happen at minimal size when Phi_S is independent,
-                # kept as a guard for the floating path
-                raise AmbiguousSupport(
-                    f"row {j}: support {cols} has dependency dimension "
-                    f"{nb.shape[1]}"
-                )
-            lam = nb[:, 0]
-            a = sum(lam[k] * phi[j, cols[k]] for k in range(s))
-            found.append((cols, list(lam), a))
-        if found:
-            return s, found
+        hits = {j: [] for j in open_rows}
+        for block, full, deleted in scan.chunks(s, open_rows):
+            ok = (deleted < s) & (full == s)[:, None]
+            for k, i in zip(*np.nonzero(ok)):
+                hits[open_rows[i]].append(block[k])
+        found.update((j, (s, c)) for j, c in hits.items() if c)
+        open_rows = [j for j in open_rows if j not in found]
+        if not open_rows:
+            return found
     raise AssertionError("no admissible support found; input is not a frame")
+
+
+def _certify(frame, j, cols, tol):
+    """Dependency vector lambda of Phi^{(j)}_S and the scale
+    a = sum_k lambda_k phi_{j, c_k} for a support S of row j."""
+    block = row_delete(frame, j)[:, cols]
+    lam = nullspace_basis(block, tol)[:, 0]
+    a = sum(lam[k] * frame.matrix[j, c] for k, c in enumerate(cols))
+    return list(lam), a
 
 
 def generalized_spark(frame, j, budget=DEFAULT_BUDGET, tol=None):
     """spark_j: smallest dependent set of Phi^{(j)} whose columns stay
     independent in Phi."""
-    s, _ = _row_support_candidates(frame, j, _Budget(budget), tol)
-    return s
+    if not 0 <= j < frame.n:
+        raise IndexOutOfRange(f"row index {j} outside [0, {frame.n})")
+    return _row_supports(frame, [j], _Budget(budget), tol)[j][0]
 
 
 def _row_vector(frame, cols, lam, a):
@@ -157,12 +224,13 @@ def sparsest_dual(frame, budget=DEFAULT_BUDGET, tol=None):
 
     Tie-breaking: the lexicographically smallest minimal support per row.
     """
-    bud = _Budget(budget)
+    supports = _row_supports(frame, range(frame.n), _Budget(budget), tol)
     cert = SparsityCertificate(tolerance_dependent=not frame.is_exact)
     rows = []
     for j in range(frame.n):
-        s, cands = _row_support_candidates(frame, j, bud, tol)
-        cols, lam, a = cands[0]
+        s, cands = supports[j]
+        cols = cands[0]
+        lam, a = _certify(frame, j, cols, tol)
         rows.append(_row_vector(frame, cols, lam, a))
         cert.rows.append(
             RowCertificate(row=j, spark_j=s, support=cols, coeffs=lam, scale=a)
@@ -174,11 +242,12 @@ def sparsest_dual(frame, budget=DEFAULT_BUDGET, tol=None):
 def enumerate_sparsest_duals(frame, limit=None, budget=DEFAULT_BUDGET, tol=None):
     """All sparsest duals: Cartesian product of the per-row minimal-support
     solutions, deduplicated and sorted by flattened entry order."""
-    bud = _Budget(budget)
-    per_row = []
-    for j in range(frame.n):
-        _, cands = _row_support_candidates(frame, j, bud, tol)
-        per_row.append([_row_vector(frame, c, lam, a) for c, lam, a in cands])
+    supports = _row_supports(frame, range(frame.n), _Budget(budget), tol)
+    per_row = [
+        [_row_vector(frame, c, *_certify(frame, j, c, tol))
+         for c in supports[j][1]]
+        for j in range(frame.n)
+    ]
     seen = set()
     duals = []
     for combo in itertools.product(*per_row):
@@ -191,10 +260,9 @@ def enumerate_sparsest_duals(frame, limit=None, budget=DEFAULT_BUDGET, tol=None)
         seen.add(key)
         duals.append(mat)
     duals.sort(key=lambda m: tuple(m.flat) if frame.is_exact else tuple(to_float(m).flat))
-    out = [Frame(m) for m in duals]
-    if limit is not None and len(out) > limit:
-        raise Truncated(limit, out[:limit])
-    return out
+    if limit is not None and len(duals) > limit:
+        raise Truncated(limit, [Frame(m) for m in duals[:limit]])
+    return [Frame(m) for m in duals]
 
 
 def sparsity_bounds(frame, budget=DEFAULT_BUDGET, tol=None):
@@ -254,21 +322,20 @@ def is_general_position(a, budget=DEFAULT_BUDGET, tol=None):
     n, m = a.shape
     if n > m:
         raise ValueError("general position is defined for rows <= cols")
-    bud = _Budget(budget)
-    for cols in itertools.combinations(range(m), n):
-        bud.spend()
-        if _rank(a[:, cols], tol) < n:
-            return False
-    return True
+    scan = _Scanner(a, _Budget(budget), tol)
+    return all(np.all(full == n) for _, full, _ in scan.chunks(n))
 
 
 def in_P(frame, budget=DEFAULT_BUDGET, tol=None):
     """True iff spark(Phi^{(j)}) = n for all j, i.e. every row-deleted
-    submatrix is in general position; implies sparsest-dual sparsity n^2."""
-    for j in range(frame.n):
-        if not is_general_position(row_delete(frame, j), budget=budget, tol=tol):
-            return False
-    return True
+    submatrix is in general position; implies sparsest-dual sparsity n^2.
+    One pass over the (n-1)-subsets decides all rows."""
+    scan = _Scanner(frame.matrix, _Budget(budget), tol)
+    rows = range(frame.n)
+    return all(
+        np.all(deleted == frame.n - 1)
+        for _, _, deleted in scan.chunks(frame.n - 1, rows)
+    )
 
 
 def nnz(mat, tol=0.0):

@@ -87,6 +87,34 @@ class TestSparsest:
     def test_budget_exit(self, capsys, sparse_file):
         assert main(["sparsest", sparse_file, "--budget", "1"]) == 3
 
+    def test_budget_error_says_how_far(self, capsys, sparse_file):
+        # cardinality 1 costs 2 rows x 3 subsets; row 0 is still open at 2
+        assert main(["sparsest", sparse_file, "--budget", "8"]) == 3
+        err = capsys.readouterr().err
+        assert "cardinality 2" in err
+        assert "rows [0] still open" in err
+
+    def test_integer_file_takes_exact_path(self, capsys, sparse_file):
+        code, rep = run_json(capsys, ["sparsest", sparse_file])
+        assert code == 0
+        assert rep["tolerance_dependent"] is False
+        entries = [x for row in rep["results"]["dual"] for x in row]
+        assert all("." not in x for x in entries)
+        assert rep["results"]["dual"] == [["2/3", "-1/3", "0"], ["0", "0", "-1"]]
+
+    def test_truncated_enumeration(self, capsys, tmp_path):
+        path = tmp_path / "int37.csv"
+        path.write_text("1,2,3,4,5,6,7\n2,-1,5,3,-4,1,6\n3,1,-2,7,2,-5,4\n")
+        code, rep = run_json(
+            capsys, ["sparsest", str(path), "--all", "--limit", "5"]
+        )
+        assert code == 8
+        r = rep["results"]
+        assert r["count"] == 5
+        assert r["truncated"] is True
+        assert len(r["all_duals"]) == 5
+        assert rep["tolerance_dependent"] is False
+
     def test_exact_on_float_input(self, capsys, spectral_file):
         assert main(["sparsest", spectral_file, "--exact"]) == 2
 

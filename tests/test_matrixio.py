@@ -87,6 +87,20 @@ class TestRoundTrip:
         back = parse_matrix(format_matrix(mat))
         np.testing.assert_array_equal(back, mat)
 
+    def test_complex_signed_exponents(self):
+        mat = parse_matrix("1.5-5.6e-05i,1.5+2.5e+20i,-5e-05i,5e-05i\n")
+        assert mat.tolist() == [[1.5 - 5.6e-05j, 1.5 + 2.5e20j, -5e-05j, 5e-05j]]
+
+    def test_complex_tiny_and_huge_imaginary_parts(self, tmp_path):
+        # repr writes these imaginary parts with a signed exponent
+        mat = np.array([
+            [1.5 - 5.6113812682230684e-05j, 1 + 1j, -2 + 3e-300j],
+            [2 + 2.5e20j, 0.5 - 2j, 7 - 1.25e17j],
+        ])
+        path = tmp_path / "c.csv"
+        write_matrix(mat, path)
+        np.testing.assert_array_equal(read_matrix(path), mat)
+
     def test_header_written(self):
         text = format_matrix(np.eye(2))
         assert text.splitlines()[0] == "# field=real"

@@ -70,6 +70,50 @@ class TestRank:
             floating = nm.rank_tol(a.astype(float))
             assert exact == floating
 
+    def test_stack_matches_each_matrix(self):
+        # a (k, r, s) stack applies the per-matrix threshold to every slice
+        rng = np.random.default_rng(3)
+        stack = rng.integers(-2, 3, size=(40, 3, 4)).astype(float)
+        stack[5] = 0.0
+        stack[6, 2] = 2 * stack[6, 0] + 1e-14
+        ranks = nm.rank_tol(stack)
+        assert ranks.shape == (40,)
+        assert ranks.tolist() == [nm.rank_tol(x) for x in stack]
+        assert nm.rank_tol(stack, tol=1e-12).tolist() == [
+            nm.rank_tol(x, tol=1e-12) for x in stack
+        ]
+
+    def test_stack_rational_and_empty(self):
+        stack = np.array(
+            [frac_matrix([[1, 2], [2, 4]]), frac_matrix([[1, 0], [0, 3]])]
+        )
+        assert nm.rank_tol(stack).tolist() == [1, 2]
+        assert nm.rank_tol(np.zeros((3, 0, 2))).tolist() == [0, 0, 0]
+
+
+class TestBareiss:
+    def test_integer_rows_keep_column_relations(self):
+        a = frac_matrix([[Fraction(1, 2), Fraction(1, 3), 0], [2, 4, Fraction(-5, 6)]])
+        assert nm.integer_rows(a) == [[3, 2, 0], [12, 24, -5]]
+
+    def test_matches_fraction_elimination(self):
+        # rank of A_S and e_j in span(A_S) against exact solves
+        rng = np.random.default_rng(11)
+        for _ in range(150):
+            n, m = (int(x) for x in rng.integers(1, 5, size=2))
+            a = rng.integers(-2, 3, size=(n, m)).tolist()
+            for s in range(m + 1):
+                cols = tuple(sorted(rng.choice(m, size=s, replace=False).tolist()))
+                block = frac_matrix([[row[c] for c in cols] for row in a])
+                rank, in_span = nm.bareiss_span(a, cols)
+                assert rank == (nm.rank_tol(block) if s else 0)
+                for j in range(n):
+                    e_j = [Fraction(int(i == j)) for i in range(n)]
+                    solvable = (
+                        nm.solve_exact(block, e_j) is not None if s else False
+                    )
+                    assert in_span[j] == solvable
+
 
 class TestNullspace:
     def test_exact_row(self):

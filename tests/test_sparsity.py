@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +7,12 @@ import pytest
 
 from dualframes.errors import SingularSubset, SizeLimit, Truncated
 from dualframes.frames import Frame, is_dual, row_delete
+from dualframes.numerics import nullspace_basis, rank_tol
 from dualframes.sparsity import (
+    DEFAULT_BUDGET,
+    _Budget,
+    _certify,
+    _row_supports,
     biorthogonal_dual,
     enumerate_sparsest_duals,
     generalized_spark,
@@ -114,6 +121,117 @@ class TestSparsestDual:
         best = cert.total_sparsity
         duals = enumerate_sparsest_duals(f)
         assert all(nnz(d) == best for d in duals)
+
+
+class TestBudget:
+    @staticmethod
+    def _charge(f, sparks):
+        # one unit per (row, subset) pair at every cardinality up to spark_j
+        return sum(math.comb(f.m, s) for sj in sparks for s in range(1, sj + 1))
+
+    @pytest.mark.parametrize("seed", [None, 5, 6])
+    def test_exact_budget_passes_one_less_raises(self, ex_sparse, seed):
+        f = ex_sparse if seed is None else random_integer_frame(
+            np.random.default_rng(seed), 3, 5)
+        _, cert = sparsest_dual(f)
+        sparks = [rc.spark_j for rc in cert.rows]
+        total = self._charge(f, sparks)
+        sparsest_dual(f, budget=total)
+        with pytest.raises(SizeLimit) as exc:
+            sparsest_dual(f, budget=total - 1)
+        top = max(sparks)
+        assert exc.value.cardinality == top
+        assert exc.value.rows == [j for j, s in enumerate(sparks) if s == top]
+        assert exc.value.budget == total - 1
+        assert f"cardinality {top}" in str(exc.value)
+
+    def test_in_P_charges_every_row(self):
+        f = Frame.exact([[1, 2, 3, 4], [1, -1, 2, 5], [2, 1, -3, 1]])
+        total = 3 * math.comb(4, 2)
+        assert in_P(f, budget=total)
+        with pytest.raises(SizeLimit) as exc:
+            in_P(f, budget=total - 1)
+        assert (exc.value.cardinality, exc.value.rows) == (2, [0, 1, 2])
+
+
+def _reference_row(frame, j):
+    """The per-row definition, subset by subset: S is a minimal support of
+    row j when Phi^{(j)}_S is dependent and Phi_S independent; lambda is
+    the null vector of Phi^{(j)}_S."""
+    phi, sub = frame.matrix, row_delete(frame, j)
+    for s in range(1, frame.n + 1):
+        found = []
+        for cols in itertools.combinations(range(frame.m), s):
+            block = sub[:, cols]
+            if rank_tol(block) < s and rank_tol(phi[:, cols]) == s:
+                lam = nullspace_basis(block)[:, 0]
+                a = sum(lam[k] * phi[j, c] for k, c in enumerate(cols))
+                found.append((cols, list(lam), a))
+        if found:
+            return s, found
+    raise AssertionError("not a frame")
+
+
+def _reference_frames(count=240):
+    """Seeded small frames: exact integer and p/q, float Gaussian and
+    integer-valued float, complex; each with a chance of a zero column and
+    of a repeated column.  Half the float repeats are off by a few machine
+    epsilons, so that rank decisions fall near the threshold."""
+    rng = np.random.default_rng(2024)
+    made = 0
+    while made < count:
+        n = int(rng.integers(1, 4))
+        m = int(rng.integers(n, 7))
+        kind = made % 5
+        if kind == 0:
+            mat = rng.integers(-2, 3, size=(n, m)).astype(object)
+        elif kind == 1:
+            mat = np.array(
+                [[Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 5)))
+                  for _ in range(m)] for _ in range(n)], dtype=object)
+        elif kind == 2:
+            mat = rng.standard_normal((n, m))
+        elif kind == 3:
+            mat = rng.integers(-2, 3, size=(n, m)).astype(float)
+        else:
+            mat = rng.standard_normal((n, m)) + 1j * rng.integers(-1, 2, (n, m))
+        if m > 1 and rng.random() < 0.4:
+            mat[:, int(rng.integers(m))] = 0
+        if m > 2 and rng.random() < 0.4:
+            a, b = rng.choice(m, size=2, replace=False)
+            mat[:, b] = mat[:, a]
+            if kind >= 2 and rng.random() < 0.5:
+                mat[:, b] += 10 ** rng.uniform(-17, -13) * rng.standard_normal(n)
+        if kind <= 1:
+            mat = np.array([[Fraction(x) for x in row] for row in mat], dtype=object)
+        if rank_tol(mat) < n:
+            continue
+        made += 1
+        yield Frame(mat)
+
+
+def test_scanner_matches_per_row_definition():
+    frames = list(_reference_frames())
+    assert sum(f.is_exact for f in frames) >= 80
+    rows = 0
+    for f in frames:
+        supports = _row_supports(f, range(f.n), _Budget(DEFAULT_BUDGET), None)
+        _, cert = sparsest_dual(f)
+        for j in range(f.n):
+            s, ref = _reference_row(f, j)
+            rows += 1
+            assert supports[j][0] == s == cert.rows[j].spark_j
+            assert generalized_spark(f, j) == s
+            assert supports[j][1] == [cols for cols, _, _ in ref]
+            for cols, lam, a in ref:
+                got_lam, got_a = _certify(f, j, cols, None)
+                assert repr(got_lam) == repr(lam)
+                assert repr(got_a) == repr(a)
+            cols, lam, a = ref[0]
+            assert cert.rows[j].support == cols
+            assert repr(cert.rows[j].coeffs) == repr(lam)
+            assert repr(cert.rows[j].scale) == repr(a)
+    assert rows >= 400
 
 
 class TestEnumerate:
