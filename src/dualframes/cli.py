@@ -3,7 +3,8 @@
 Matrices travel as MatrixFiles (see matrixio), results as JSON reports with
 stable key order.  Exit codes: 0 ok, 2 parse/rank failure, 3 subset budget,
 4 no tight dual, 5 bound infeasible, 6 bad spectrum target, 7 invalid tetris
-spectrum, 8 enumeration truncated at --limit (the report is still printed).
+spectrum, 8 enumeration truncated at --limit (the report is still printed),
+9 a numerical kernel failed or a built dual failed its duality check.
 Row/pick indices on the command line are 1-based.
 """
 
@@ -26,6 +27,7 @@ from .errors import (
     BoundInfeasible,
     DualFramesError,
     InvalidSpectrum,
+    NonConvergence,
     NoTightDual,
     ParseError,
     RankDeficient,
@@ -52,6 +54,10 @@ EXIT_BOUND_INFEASIBLE = 5
 EXIT_BAD_TARGET = 6
 EXIT_INVALID_SPECTRUM = 7
 EXIT_TRUNCATED = 8
+EXIT_NON_CONVERGENCE = 9
+
+# duality residual ||Psi Phi* - I||_F a built dual must meet
+DUAL_CHECK_TOL = 1e-9
 
 
 def _digest(path):
@@ -96,10 +102,21 @@ def _load_frame(path, exact=None, tol=None):
     return Frame(mat, tol=tol)
 
 
+def _verified_residual(frame, dual):
+    """Duality residual of a built dual; NonConvergence if over the limit."""
+    ok, resid = is_dual(frame, dual, DUAL_CHECK_TOL)
+    if not ok:
+        raise NonConvergence(
+            f"built dual fails verification: duality residual {resid:.3e} "
+            f"> {DUAL_CHECK_TOL:g}"
+        )
+    return resid
+
+
 def cmd_analyze(args):
     t0 = time.perf_counter()
     frame = _load_frame(args.input)
-    fac = numerics.svd(frame.as_float())
+    sigma = numerics.singular_values(frame.as_float())
     bounds = frame_bounds(frame)
     dual = canonical_dual(frame)
     region = spectral.lambda_region(frame)
@@ -109,7 +126,7 @@ def cmd_analyze(args):
         "n": frame.n,
         "m": frame.m,
         "field": frame.field,
-        "singular_values": [float(s) for s in fac.sigma],
+        "singular_values": [float(s) for s in sigma],
         "frame_bounds": {"lower": bounds.lower, "upper": bounds.upper},
         "dual_set_dimension": dual_set_dimension(frame),
         "lambda_region": [
@@ -182,7 +199,7 @@ def cmd_tight(args):
     t0 = time.perf_counter()
     frame = _load_frame(args.input)
     dual, spec, s_block = spectral.tight_dual(frame, args.sigma)
-    ok, resid = is_dual(frame, dual, 1e-9)
+    resid = _verified_residual(frame, dual)
     measured = numerics.singular_values(dual.matrix)
     if args.output:
         write_matrix(dual.matrix, args.output)
@@ -215,7 +232,7 @@ def cmd_prescribe(args):
         except ValueError as exc:
             raise BadTarget(f"bad pick {part!r}") from exc
     dual = spectral.prescribed_spectrum_dual(frame, picks)
-    ok, resid = is_dual(frame, dual, 1e-9)
+    resid = _verified_residual(frame, dual)
     measured = numerics.singular_values(dual.matrix)
     if args.output:
         write_matrix(dual.matrix, args.output)
@@ -452,6 +469,7 @@ _EXIT_CODES = [
     ((BoundInfeasible, BelowCanonical, TooManyPicks), EXIT_BOUND_INFEASIBLE),
     ((BadTarget,), EXIT_BAD_TARGET),
     ((InvalidSpectrum,), EXIT_INVALID_SPECTRUM),
+    ((NonConvergence,), EXIT_NON_CONVERGENCE),
 ]
 
 

@@ -6,7 +6,8 @@ class DualFramesError(Exception):
 
 
 class NonConvergence(DualFramesError):
-    """The iterative SVD kernel did not converge."""
+    """A numerical kernel failed: the SVD did not converge or missed its
+    residual checks, or a built dual failed its duality check."""
 
     def __init__(self, message, iterations=None):
         super().__init__(message)

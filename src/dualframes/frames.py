@@ -4,7 +4,10 @@ and the two parametrizations of the set of all duals.
 A frame is a full-rank n-by-m matrix whose columns are the frame vectors.
 Exact-arithmetic duals are produced through perturbation and exact solves;
 the SVD parametrization is floating-point only (U, V are irrational in
-general).  Row indices are 0-based throughout.
+general).  It works from the thin SVD Phi = U diag(sigma) V1*: a dual
+U [diag(1/sigma) | S] [V1 | V2]* needs V2 only through the product S V2*,
+which the Householder completion of V1 supplies without an m-by-m matrix.
+Row indices are 0-based throughout.
 """
 
 from __future__ import annotations
@@ -118,13 +121,16 @@ def frame_bounds(frame):
 
 
 def canonical_dual(frame):
-    """Moore-Penrose dual S^{-1} Phi; exact when the frame is rational."""
+    """Moore-Penrose dual S^{-1} Phi; exact when the frame is rational.
+
+    On the floating path it is U diag(1/sigma) V1* from the thin SVD, which
+    avoids the normal equations S = Phi Phi* and their squared condition
+    number.
+    """
     if frame.is_exact:
-        s = frame_operator(frame)
-        psi = solve_exact(s, frame.matrix)
-        return Frame(psi)
-    s = frame_operator(frame)
-    return Frame(np.linalg.solve(s, frame.as_float()))
+        return Frame(solve_exact(frame_operator(frame), frame.matrix))
+    fac = numerics.svd(frame.as_float())
+    return Frame((fac.u / fac.sigma) @ fac.v.conj().T)
 
 
 def duality_residual(phi, psi):
@@ -170,10 +176,12 @@ def dual_from_perturbation(phi, psi, e):
 
 @dataclass
 class DualParametrization:
-    """SVD factors of Phi plus the free n-by-(m-n) block of the dual set.
+    """Thin SVD factors of Phi plus the free n-by-(m-n) block S of the dual
+    set.
 
     realize() with a zero block gives the canonical dual; any block gives a
-    dual.  Floating point only.
+    dual.  The dual's singular values are sqrt(eig(diag(1/sigma^2) + S S*))
+    whichever orthonormal completion V2 of V1 is used.  Floating point only.
     """
 
     svd: SVDFactors
@@ -195,18 +203,14 @@ class DualParametrization:
         return cls(svd=numerics.svd(frame.as_float() if isinstance(frame, Frame) else frame),
                    s_block=s_block)
 
-    def m_psi(self):
-        n = self.svd.u.shape[0]
-        m = self.svd.v.shape[0]
-        dtype = complex if np.iscomplexobj(self.s_block) or np.iscomplexobj(self.svd.u) else float
-        block = np.zeros((n, m), dtype=dtype)
-        block[:, :n] = np.diag(1.0 / self.svd.sigma)
-        block[:, n:] = self.s_block
-        return block
-
     def realize(self):
-        """U [diag(1/sigma) | s] V*, a dual frame of the original frame."""
-        return Frame(self.svd.u @ self.m_psi() @ self.svd.v.conj().T)
+        """U [diag(1/sigma) | S] [V1 | V2]* = U (diag(1/sigma) V1* + S V2*),
+        a dual frame of the original frame; S V2* is (V2 S*)*, applied
+        through ``SVDFactors.complement``."""
+        fac = self.svd
+        canonical = (fac.v / fac.sigma).conj().T
+        free = fac.complement(self.s_block.conj().T).conj().T
+        return Frame(fac.u @ (canonical + free))
 
 
 def dual_set_dimension(frame):

@@ -4,17 +4,22 @@ Two arithmetic backends coexist: exact rational (numpy object arrays of
 ``fractions.Fraction``) for combinatorial rank/spark decisions, and double
 precision floating point for SVD and spectral work.  Rational matrices are
 recognised by their object dtype; every entry must then be a Fraction or int.
+
+The SVD is thin: its right factor is the m-by-min(n, m) V1, and the
+orthonormal completion V2 of V1 is applied through Householder reflectors
+rather than formed, so no m-by-m matrix is ever built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import FieldMismatch, NonConvergence
+from .errors import FieldMismatch, NonConvergence, ShapeMismatch
 
 DEFAULT_TOL = 1e-10
 
@@ -56,31 +61,61 @@ def to_float(a):
 
 @dataclass(frozen=True)
 class SVDFactors:
-    """Full SVD A = U diag(sigma) V* with U n-by-n and V m-by-m unitary."""
+    """Thin SVD A = U diag(sigma) V1* of an n-by-m matrix: U is n-by-k and
+    V1 (``v``) m-by-k with orthonormal columns, k = min(n, m).
+
+    The orthonormal completion V2 of V1 (m-by-(m-k), so that [V1 | V2] is
+    unitary) is never formed; ``complement`` applies it to a block.
+    """
 
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
 
     def reconstruct(self):
-        n, m = self.u.shape[0], self.v.shape[0]
-        s = np.zeros((n, m), dtype=self.u.dtype)
-        k = len(self.sigma)
-        s[:k, :k] = np.diag(self.sigma)
-        return self.u @ s @ self.v.conj().T
+        return (self.u * self.sigma) @ self.v.conj().T
+
+    @cached_property
+    def _reflectors(self):
+        # V1 = QR with Q = H_0 ... H_{k-1}; V2 = Q[:, k:] (Golub & Van Loan,
+        # Matrix Computations, 5.2).  Row i of h holds the tail of H_i.
+        return np.linalg.qr(self.v, mode="raw")
+
+    def complement(self, x):
+        """V2 x for an (m-k)-by-c block x, as Q [0; x] from the k Householder
+        reflectors of V1: O(m k c) work, and V2 itself is never formed.
+
+        Raises NonConvergence if ||V1* V2 x||_F exceeds
+        DEFAULT_TOL * max(1, m) * ||x||_F.
+        """
+        h, tau = self._reflectors
+        m, k = self.v.shape
+        x = np.asarray(x)
+        if x.ndim != 2 or x.shape[0] != m - k:
+            raise ShapeMismatch(f"complement needs a 2-d block with {m - k} rows")
+        y = np.zeros((m, x.shape[1]), dtype=np.result_type(h, x))
+        y[k:] = x
+        for i in reversed(range(k)):
+            w = np.concatenate(([1.0], h[i, i + 1:]))
+            y[i:] -= np.outer(tau[i] * w, w.conj() @ y[i:])
+        resid = np.linalg.norm(self.v.conj().T @ y)
+        if resid > DEFAULT_TOL * max(1.0, m) * np.linalg.norm(x):
+            raise NonConvergence(f"orthogonal completion residual {resid:.3e}")
+        return y
 
 
 def svd(a, tol_recon=DEFAULT_TOL, tol_unitary=DEFAULT_TOL):
-    """Full SVD of a real or complex matrix; rational input is converted.
+    """Thin SVD of a real or complex matrix; rational input is converted.
 
-    Raises NonConvergence if the LAPACK kernel fails, and asserts the
-    reconstruction and unitarity residuals before returning.
+    Raises NonConvergence if the LAPACK kernel fails, and checks the
+    reconstruction residual and the orthonormality of the columns of U and
+    V1 before returning.
     """
     a = to_float(np.asarray(a)) if is_rational(a) else np.asarray(a)
     if a.size == 0:
         raise ValueError("svd of an empty matrix")
     try:
-        u, s, vh = np.linalg.svd(a, full_matrices=True)
+        u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NonConvergence(f"SVD did not converge: {exc}") from exc
     factors = SVDFactors(u=u, sigma=s, v=vh.conj().T)
@@ -90,10 +125,11 @@ def svd(a, tol_recon=DEFAULT_TOL, tol_unitary=DEFAULT_TOL):
         if resid > tol_recon:
             raise NonConvergence(f"SVD reconstruction residual {resid:.3e}")
     n, m = a.shape
-    if np.linalg.norm(u @ u.conj().T - np.eye(n)) > tol_unitary * max(1.0, n):
-        raise NonConvergence("left factor not unitary")
-    if np.linalg.norm(vh @ vh.conj().T - np.eye(m)) > tol_unitary * max(1.0, m):
-        raise NonConvergence("right factor not unitary")
+    eye = np.eye(len(s))
+    if np.linalg.norm(u.conj().T @ u - eye) > tol_unitary * max(1.0, n):
+        raise NonConvergence("left factor columns not orthonormal")
+    if np.linalg.norm(vh @ vh.conj().T - eye) > tol_unitary * max(1.0, m):
+        raise NonConvergence("right factor columns not orthonormal")
     return factors
 
 

@@ -205,6 +205,13 @@ def generalized_spark(frame, j, budget=DEFAULT_BUDGET, tol=None):
     return _row_supports(frame, [j], _Budget(budget), tol)[j][0]
 
 
+def generalized_spark_sum(frame, budget=DEFAULT_BUDGET, tol=None):
+    """sum_j spark_j, the sparsity of a sparsest dual, from one pass over the
+    subsets that decides every row; all rows share one budget."""
+    supports = _row_supports(frame, range(frame.n), _Budget(budget), tol)
+    return sum(s for s, _ in supports.values())
+
+
 def _row_vector(frame, cols, lam, a):
     """Dual row with (psi^j)_k = conj(lambda_k / a) on the support."""
     exact = frame.is_exact
@@ -266,15 +273,17 @@ def enumerate_sparsest_duals(frame, limit=None, budget=DEFAULT_BUDGET, tol=None)
 
 
 def sparsity_bounds(frame, budget=DEFAULT_BUDGET, tol=None):
-    """(lower, exact, upper) = (sum spark(Phi^{(j)}), sum spark_j, n^2)."""
+    """(lower, exact, upper) = (sum spark(Phi^{(j)}), sum spark_j, n^2).
+
+    The exact sum comes from one scan in which all rows share one budget
+    (``generalized_spark_sum``); each spark(Phi^{(j)}) of the lower sum is
+    a search of its own with its own budget.
+    """
     lower = sum(
         spark(row_delete(frame, j), budget=budget, tol=tol).spark
         for j in range(frame.n)
     )
-    exact = sum(
-        generalized_spark(frame, j, budget=budget, tol=tol)
-        for j in range(frame.n)
-    )
+    exact = generalized_spark_sum(frame, budget=budget, tol=tol)
     return lower, exact, frame.n ** 2
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from dualframes import cli
 from dualframes.cli import main
 from dualframes.matrixio import read_matrix
 
@@ -142,6 +143,12 @@ class TestSpectralCommands:
         np.testing.assert_allclose(
             rep["results"]["measured_spectrum"], [2.0, 1.0], atol=1e-8
         )
+
+    @pytest.mark.parametrize("argv", [["tight"], ["prescribe", "--picks", "1=1"]])
+    def test_unverified_dual_exit(self, capsys, monkeypatch, spectral_file, argv):
+        monkeypatch.setattr(cli, "is_dual", lambda phi, psi, tol: (False, 0.5))
+        assert main([argv[0], spectral_file, *argv[1:]]) == 9
+        assert "duality residual 5.000e-01" in capsys.readouterr().err
 
     def test_prescribe_below_floor(self, capsys, spectral_file):
         assert main(["prescribe", spectral_file, "--picks", "2=1"]) == 5

@@ -10,6 +10,7 @@ from dualframes.frames import (
     canonical_dual,
     dual_from_perturbation,
     dual_set_dimension,
+    duality_residual,
     frame_bounds,
     frame_operator,
     is_dual,
@@ -92,6 +93,25 @@ class TestCanonicalDual:
         ok, resid = is_dual(ex_spectral, psi)
         assert ok
         assert resid <= 1e-12
+
+    @staticmethod
+    def _conditioned(cond, seed):
+        """Seeded 5x12 frame with singular values from 1 down to 1/cond."""
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        v, _ = np.linalg.qr(rng.standard_normal((12, 5)))
+        return Frame(u @ np.diag(np.geomspace(1.0, 1.0 / cond, 5)) @ v.T)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ill_conditioned_1e4(self, seed):
+        f = self._conditioned(1e4, seed)
+        ok, resid = is_dual(f, canonical_dual(f))
+        assert ok, resid
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ill_conditioned_1e6(self, seed):
+        f = self._conditioned(1e6, seed)
+        assert duality_residual(f, canonical_dual(f)) <= 1e-9
 
     def test_random_exact(self):
         rng = np.random.default_rng(11)

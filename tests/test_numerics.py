@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dualframes import numerics as nm
-from dualframes.errors import FieldMismatch
+from dualframes.errors import FieldMismatch, ShapeMismatch
 
 from conftest import EX_SPECTRAL, frac_matrix
 
@@ -33,14 +33,24 @@ class TestSVD:
         n, m = rng.integers(1, 51, size=2)
         a = rng.uniform(-10, 10, size=(n, m))
         fac = nm.svd(a)
+        k = min(n, m)
+        assert fac.u.shape == (n, k) and fac.v.shape == (m, k)
         assert all(
             fac.sigma[i] >= fac.sigma[i + 1] for i in range(len(fac.sigma) - 1)
         )
-        assert np.linalg.norm(fac.u @ fac.u.conj().T - np.eye(n)) <= 1e-10 * n
-        assert np.linalg.norm(fac.v @ fac.v.conj().T - np.eye(m)) <= 1e-10 * m
+        assert np.linalg.norm(fac.u.conj().T @ fac.u - np.eye(k)) <= 1e-10 * n
+        assert np.linalg.norm(fac.v.conj().T @ fac.v - np.eye(k)) <= 1e-10 * m
+        # the implicit completion makes [V1 | V2] unitary
+        full = np.hstack([fac.v, fac.complement(np.eye(m - k))])
+        assert np.linalg.norm(full @ full.conj().T - np.eye(m)) <= 1e-10 * m
         assert (
             np.linalg.norm(fac.reconstruct() - a) <= 1e-10 * np.linalg.norm(a)
         )
+
+    def test_complement_rejects_wrong_block(self):
+        fac = nm.svd(np.random.default_rng(0).standard_normal((2, 5)))
+        with pytest.raises(ShapeMismatch):
+            fac.complement(np.eye(2))
 
     def test_rational_input_converted(self):
         fac = nm.svd(frac_matrix([[1, 0], [0, 2]]))

@@ -112,3 +112,28 @@ def test_dual_spectrum_interlaces(frame, raw):
         assert spec[i] >= lo - 1e-6 * max(lo, 1.0)
         if hi != float("inf"):
             assert spec[i] <= hi + 1e-6 * max(hi, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(0, 7),
+    st.booleans(),
+    st.integers(0, 2 ** 31),
+)
+def test_realized_dual_spectrum(n, r, complex_entries, seed):
+    # r runs past n, so the block S can have more columns than rows
+    rng = np.random.default_rng(seed)
+    m = n + r
+
+    def draw(rows, cols):
+        x = rng.standard_normal((rows, cols))
+        return x + 1j * rng.standard_normal((rows, cols)) if complex_entries else x
+
+    frame = Frame(draw(n, m))
+    s_block = draw(n, r)
+    par = DualParametrization.of(frame, s_block)
+    got = singular_values(par.realize().matrix)
+    gram = np.diag(par.svd.sigma ** -2.0) + s_block @ s_block.conj().T
+    want = np.sqrt(np.linalg.eigvalsh(gram))[::-1]
+    np.testing.assert_allclose(got, want, rtol=1e-9)

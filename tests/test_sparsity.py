@@ -16,6 +16,7 @@ from dualframes.sparsity import (
     biorthogonal_dual,
     enumerate_sparsest_duals,
     generalized_spark,
+    generalized_spark_sum,
     in_P,
     is_general_position,
     nnz,
@@ -258,6 +259,26 @@ class TestEnumerate:
 
 def test_sparsity_bounds(ex_sparse):
     assert sparsity_bounds(ex_sparse) == (3, 3, 4)
+
+
+def test_spark_sum_matches_per_row_sums():
+    # one shared scan per tolerance gives the sum of the per-row searches
+    frames = list(_reference_frames(60))
+    assert sum(f.is_exact for f in frames) >= 20
+    for f in frames:
+        tols = [None]
+        if not f.is_exact:
+            sigma_max = np.linalg.svd(f.matrix, compute_uv=False)[0]
+            auto = max(f.n, f.m) * np.finfo(float).eps * sigma_max
+            # a tolerance at which the matrix is no frame has no sum to compare
+            tols += [t for t in (0.1 * auto, 10.0 * auto)
+                     if rank_tol(f.matrix, t) == f.n]
+        for tol in tols:
+            per_row = sum(generalized_spark(f, j, tol=tol) for j in range(f.n))
+            assert generalized_spark_sum(f, tol=tol) == per_row
+        assert sparsity_bounds(f)[1] == sum(
+            generalized_spark(f, j) for j in range(f.n)
+        )
 
 
 def test_sparsity_bounds_sandwich_random():

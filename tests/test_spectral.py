@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dualframes.errors import (
     NoTightDual,
     TooManyPicks,
 )
+from dualframes.experiments import gabor_frame
 from dualframes.frames import Frame, frame_operator, is_dual
 from dualframes.numerics import singular_values
 from dualframes.spectral import (
@@ -83,6 +85,34 @@ class TestTightDual:
             frame_operator(dual.matrix), np.eye(3), atol=1e-9
         )
         assert is_dual(f, dual, 1e-9)[0]
+
+
+    @pytest.mark.parametrize("scale", [1.0, 1.5])
+    def test_gabor_16x256(self, scale):
+        rng = np.random.default_rng(3)
+        frame = gabor_frame(rng.standard_normal(16) + 1j * rng.standard_normal(16))
+        floor = 1.0 / singular_values(frame.matrix)[-1]
+        dual, spec, _ = tight_dual(frame, floor * scale)
+        ok, resid = is_dual(frame, dual, 1e-9)
+        assert ok, resid
+        psi = dual.matrix
+        c2 = spec.sigma_psi ** 2
+        assert np.linalg.norm(psi @ psi.conj().T - c2 * np.eye(16)) <= 1e-9 * c2
+
+
+def test_no_m_by_m_array():
+    # a 4x2000 frame: one 2000x2000 float array alone would take 32 MB
+    rng = np.random.default_rng(0)
+    frame = Frame(rng.standard_normal((4, 2000)))
+    floor = 1.0 / singular_values(frame.matrix)[-1]
+    tracemalloc.start()
+    try:
+        tight_dual(frame, 2.0 * floor)
+        prescribed_spectrum_dual(frame, {0: 10.0})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2000 * 2000 * 8 / 8
 
 
 class TestClassifier:
