@@ -2,8 +2,9 @@
 
 Matrices travel as MatrixFiles (see matrixio), results as JSON reports with
 stable key order.  Exit codes: 0 ok, 2 parse/rank failure, 3 subset budget,
-4 no tight dual, 5 bound infeasible, 6 bad spectrum target, 7 invalid tetris
-spectrum, 8 enumeration truncated at --limit (the report is still printed),
+4 no tight dual, 5 bound infeasible, 6 bad spectrum target or malformed
+number list, 7 invalid or malformed tetris spectrum, 8 enumeration
+truncated at --limit (the report is still printed),
 9 a numerical kernel failed or a built dual failed its duality check.
 Row/pick indices on the command line are 1-based.
 """
@@ -13,9 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-import tempfile
 import time
 
 import numpy as np
@@ -42,7 +41,13 @@ from .frames import (
     frame_bounds,
     is_dual,
 )
-from .matrixio import _format_entry, field_of, read_matrix, write_matrix
+from .matrixio import (
+    _format_entry,
+    field_of,
+    read_matrix,
+    write_atomic,
+    write_matrix,
+)
 
 SCHEMA_VERSION = 1
 
@@ -100,6 +105,15 @@ def _load_frame(path, exact=None, tol=None):
     if exact and not numerics.is_rational(mat):
         raise ParseError("--exact requires rational (p/q or integer) entries")
     return Frame(mat, tol=tol)
+
+
+def _float_list(text, error):
+    """Floats of a comma-separated command-line list; a malformed entry
+    raises ``error``, so it maps to that error's exit code."""
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise error(f"bad number list {text!r}") from exc
 
 
 def _verified_residual(frame, dual):
@@ -252,7 +266,7 @@ def cmd_prescribe(args):
 def cmd_feasible(args):
     t0 = time.perf_counter()
     frame = _load_frame(args.input)
-    target = [float(t) for t in args.spectrum.split(",")]
+    target = _float_list(args.spectrum, BadTarget)
     st = spectral.spectrum_feasible(frame, target)
     results = {
         "target": list(st.values),
@@ -272,7 +286,7 @@ def cmd_feasible(args):
 
 def cmd_tetris(args):
     t0 = time.perf_counter()
-    eigs = [float(x) for x in args.eigs.split(",")]
+    eigs = _float_list(args.eigs, InvalidSpectrum)
     plan = tetris.tetris_plan(eigs)
     frame = tetris.tetris_frame(plan)
     results = {
@@ -326,18 +340,15 @@ def cmd_random(args):
 def cmd_surface(args):
     t0 = time.perf_counter()
     frame = _load_frame(args.input)
-    lo, hi = (float(x) for x in args.range.split(","))
-    table = experiments.surface_2x3(frame, s_range=(lo, hi), step=args.step)
+    s_range = _float_list(args.range, BadTarget)
+    if len(s_range) != 2:
+        raise BadTarget(f"--range needs lo,hi, got {args.range!r}")
+    table = experiments.surface_2x3(frame, s_range=s_range, step=args.step)
     out = args.output or "surface.csv"
-    directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    with os.fdopen(fd, "w", encoding="utf-8") as fh:
-        fh.write("s1,s2,lambda1,lambda2\n")
-        for s1, s2, l1, l2 in table:
-            fh.write(
-                f"{float(s1)!r},{float(s2)!r},{float(l1)!r},{float(l2)!r}\n"
-            )
-    os.replace(tmp, out)
+    write_atomic(out, "s1,s2,lambda1,lambda2\n" + "".join(
+        f"{float(s1)!r},{float(s2)!r},{float(l1)!r},{float(l2)!r}\n"
+        for s1, s2, l1, l2 in table
+    ))
     gap = np.abs(table[:, 2] - table[:, 3])
     k = int(np.argmin(gap))
     results = {
@@ -357,8 +368,8 @@ def cmd_surface(args):
 def cmd_generate(args):
     t0 = time.perf_counter()
     if args.generator == "vandermonde":
-        xs = [float(x) for x in args.xs.split(",")]
-        ys = [float(y) for y in args.ys.split(",")]
+        xs = _float_list(args.xs, BadTarget)
+        ys = _float_list(args.ys, BadTarget)
         frame = experiments.vandermonde_frame(xs, ys)
     elif args.generator == "dft":
         frame = experiments.partial_dft_frame(args.n, args.m)

@@ -182,9 +182,6 @@ def surface_2x3(frame, s_range=(-3.0, 3.0), step=0.05):
     lo, hi = s_range
     count = int(round((hi - lo) / step)) + 1
     grid = lo + step * np.arange(count)
-    rows = []
-    for s1 in grid:
-        for s2 in grid:
-            l1, l2 = dual_eigs_2x3(sigma[0], sigma[1], s1, s2)
-            rows.append((s1, s2, l1, l2))
-    return np.array(rows)
+    s1, s2 = np.meshgrid(grid, grid, indexing="ij")
+    l1, l2 = dual_eigs_2x3(sigma[0], sigma[1], s1, s2)
+    return np.column_stack([s1.ravel(), s2.ravel(), l1.ravel(), l2.ravel()])

@@ -23,7 +23,6 @@ from .numerics import (
     SVDFactors,
     field_of,
     frobenius,
-    inverse_exact,
     is_rational,
     rank_tol,
     solve_exact,

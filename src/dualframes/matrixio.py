@@ -144,9 +144,10 @@ def format_matrix(mat):
     return "\n".join(lines) + "\n"
 
 
-def write_matrix(mat, path):
-    """Atomic write: temp file in the target directory, then rename."""
-    text = format_matrix(mat)
+def write_atomic(path, text):
+    """Write ``text`` to ``path`` through a temporary file in the target
+    directory and a rename, so ``path`` never holds a partial file; the
+    temporary file is removed on any failure."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -157,3 +158,8 @@ def write_matrix(mat, path):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_matrix(mat, path):
+    """Atomic write of a MatrixFile (see ``write_atomic``)."""
+    write_atomic(path, format_matrix(mat))

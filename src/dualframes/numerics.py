@@ -5,6 +5,11 @@ Two arithmetic backends coexist: exact rational (numpy object arrays of
 precision floating point for SVD and spectral work.  Rational matrices are
 recognised by their object dtype; every entry must then be a Fraction or int.
 
+Every exact rank, span, nullspace and solve runs on one integer kernel:
+``integer_rows`` clears each row's denominators, ``_echelon`` eliminates the
+integer rows fraction-free (Bareiss), and ``_back_substitute`` solves the
+echelon form in integers.  Only the final quotients become Fractions.
+
 The SVD is thin: its right factor is the m-by-min(n, m) V1, and the
 orthonormal completion V2 of V1 is applied through Householder reflectors
 rather than formed, so no m-by-m matrix is ever built.
@@ -138,54 +143,72 @@ def singular_values(a):
     return np.linalg.svd(a, compute_uv=False)
 
 
-def _row_echelon_exact(a, b=None):
-    """Fraction-free forward elimination; returns (echelon, rhs, pivot_cols).
+def integer_rows(a):
+    """Rational matrix with each row scaled by the lcm of its denominators,
+    as a list of integer rows.  Row scaling keeps every column dependency,
+    so ranks, spans and solutions can be decided on the result.  Entries
+    are read through ``numerator`` and ``denominator``, which Fraction and
+    int both carry."""
+    out = []
+    for row in np.asarray(a, dtype=object):
+        d = math.lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (d // x.denominator) for x in row])
+    return out
 
-    Operates on copies.  ``b`` may be a vector or matrix of Fractions.
+
+def _echelon(rows, ncols):
+    """Fraction-free forward elimination of the integer rows in place,
+    pivoting in the first ``ncols`` columns only (Bareiss, Math. Comp.
+    1968); later columns, such as right-hand sides, are carried along.
+
+    Returns the pivot columns; pivot row k is ``rows[k]``.  Every entry
+    stays an integer minor of the input, so each division is exact, and the
+    last pivot is the minor of the pivot rows and columns.
     """
-    m = [list(row) for row in a]
-    rhs = None if b is None else [list(row) for row in b]
-    n_rows = len(m)
-    n_cols = len(m[0]) if n_rows else 0
-    pivots = []
-    piv_r = 0
-    for c in range(n_cols):
-        pr = None
-        for r in range(piv_r, n_rows):
-            if m[r][c] != 0:
-                pr = r
-                break
-        if pr is None:
+    n = len(rows)
+    prev, pivots = 1, []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, n) if rows[i][c]), None)
+        if p is None:
             continue
-        if pr != piv_r:
-            m[piv_r], m[pr] = m[pr], m[piv_r]
-            if rhs is not None:
-                rhs[piv_r], rhs[pr] = rhs[pr], rhs[piv_r]
-        pv = m[piv_r][c]
-        for r in range(piv_r + 1, n_rows):
-            f = m[r][c]
-            if f == 0:
-                continue
-            ratio = Fraction(f, 1) / pv
-            for cc in range(c, n_cols):
-                m[r][cc] -= m[piv_r][cc] * ratio
-            if rhs is not None:
-                for cc in range(len(rhs[r])):
-                    rhs[r][cc] -= rhs[piv_r][cc] * ratio
+        rows[r], rows[p] = rows[p], rows[r]
+        top = rows[r][c + 1:]
+        pv = rows[r][c]
+        for i in range(r + 1, n):
+            row = rows[i]
+            f = row[c]
+            row[c + 1:] = [(pv * x - f * y) // prev for x, y in zip(row[c + 1:], top)]
+            row[c] = 0
+        prev = pv
         pivots.append(c)
-        piv_r += 1
-        if piv_r == n_rows:
+        if r + 1 == n:
             break
-    return m, rhs, pivots
+    return pivots
+
+
+def _back_substitute(rows, pivots, t):
+    """Pivot entries of the solution of the eliminated system
+    ``rows[k] . x = t[k]`` (k over the pivot rows) with every free variable
+    zero.  By Cramer's rule D x is an integer vector, D the last pivot, so
+    the substitution runs on integers and only the final quotients become
+    Fractions."""
+    r = len(pivots)
+    d = rows[r - 1][pivots[-1]] if r else 1
+    y = [0] * r
+    for k in reversed(range(r)):
+        row = rows[k]
+        s = d * t[k] - sum(row[pivots[i]] * y[i] for i in range(k + 1, r))
+        y[k] = s // row[pivots[k]]
+    return [Fraction(v, d) for v in y]
 
 
 def rank_exact(a):
-    """Rank over the rationals by exact Gaussian elimination."""
+    """Rank over the rationals by fraction-free elimination."""
     a = np.asarray(a, dtype=object)
     if a.ndim == 1:
         a = a.reshape(1, -1)
-    _, _, pivots = _row_echelon_exact(a.tolist())
-    return len(pivots)
+    return len(_echelon(integer_rows(a), a.shape[1]))
 
 
 def rank_tol(a, tol=None):
@@ -214,75 +237,34 @@ def rank_tol(a, tol=None):
     return int(ranks) if a.ndim == 2 else ranks
 
 
-def integer_rows(a):
-    """Rational matrix with each row scaled by the lcm of its denominators,
-    as a list of integer rows.  Row scaling keeps every column dependency,
-    so ranks and spans of column subsets can be decided on the result."""
-    out = []
-    for row in np.asarray(a, dtype=object):
-        fracs = [Fraction(x) for x in row]
-        d = math.lcm(*(f.denominator for f in fracs))
-        out.append([f.numerator * (d // f.denominator) for f in fracs])
-    return out
-
-
 def bareiss_span(rows, cols):
-    """Fraction-free elimination of ``[A_S | I_n]`` for the integer matrix
-    ``rows`` (A) and the column subset ``cols`` (S), pivoting in the A_S
-    block only (Bareiss, Math. Comp. 1968).
-
-    Returns ``(rank, in_span)``: the rank of A_S, and for each j whether e_j
-    lies in the column span of A_S, which holds iff column j of the
-    eliminated identity block vanishes on the rows without a pivot.  Every
-    entry stays an integer minor of the augmented matrix, so each division
-    is exact.
+    """Rank of A_S and, for each j, whether e_j lies in the column span of
+    A_S, for the integer matrix ``rows`` (A) and the column subset ``cols``
+    (S).  One elimination of ``[A_S | I_n]`` pivoting in the A_S block
+    decides both: e_j is in the span iff column j of the eliminated
+    identity block vanishes on the rows without a pivot.
     """
     n, s = len(rows), len(cols)
     m = [[row[c] for c in cols] + [int(i == k) for k in range(n)]
          for i, row in enumerate(rows)]
-    prev, r = 1, 0
-    for c in range(s):
-        p = next((i for i in range(r, n) if m[i][c]), None)
-        if p is None:
-            continue
-        m[r], m[p] = m[p], m[r]
-        top = m[r][c + 1:]
-        pv = m[r][c]
-        for i in range(r + 1, n):
-            f = m[i][c]
-            m[i][c + 1:] = [
-                (pv * x - f * y) // prev for x, y in zip(m[i][c + 1:], top)
-            ]
-            m[i][c] = 0
-        prev = pv
-        r += 1
-        if r == n:
-            return r, [True] * n
+    r = len(_echelon(m, s))
     return r, [all(m[i][s + j] == 0 for i in range(r, n)) for j in range(n)]
 
 
 def nullspace_exact(a):
-    """Exact rational nullspace basis; columns span ker(a)."""
+    """Exact rational nullspace basis; column k is the kernel vector with
+    entry 1 at the k-th free column and 0 at the other free columns."""
     a = np.asarray(a, dtype=object)
     if a.ndim == 1:
         a = a.reshape(1, -1)
-    n_rows, n_cols = a.shape
-    m, _, pivots = _row_echelon_exact(a.tolist())
+    n_cols = a.shape[1]
+    rows = integer_rows(a)
+    pivots = _echelon(rows, n_cols)
     free = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n_cols
-        v[fc] = Fraction(1)
-        # back substitution over the pivot rows
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            s = sum(m[r][c] * v[c] for c in range(pc + 1, n_cols))
-            v[pc] = -s / m[r][pc]
-        basis.append(v)
-    out = np.empty((n_cols, len(basis)), dtype=object)
-    for j, v in enumerate(basis):
-        for i in range(n_cols):
-            out[i, j] = v[i]
+    out = np.full((n_cols, len(free)), Fraction(0), dtype=object)
+    for k, fc in enumerate(free):
+        out[fc, k] = Fraction(1)
+        out[pivots, k] = _back_substitute(rows, pivots, [-row[fc] for row in rows])
     return out
 
 
@@ -305,55 +287,32 @@ def solve_exact(a, b):
     """Exact solution of a x = b over the rationals, or None if inconsistent.
 
     ``b`` may be a vector or a matrix (solved column-wise).  Free variables
-    are set to zero.
+    are set to zero.  Each row of ``[a | b]`` is cleared of denominators as
+    one row, so a row of ``a`` and its right-hand side share one scale.
     """
     a = np.asarray(a, dtype=object)
     if a.ndim == 1:
         a = a.reshape(1, -1)
-    if field_of(a) != FIELD_RATIONAL or any(
-        not isinstance(x, (Fraction, int)) for x in a.flat
-    ):
-        raise FieldMismatch("solve_exact requires rational entries")
     b = np.asarray(b, dtype=object)
+    if any(not isinstance(x, (Fraction, int)) for x in (*a.flat, *b.flat)):
+        raise FieldMismatch("solve_exact requires rational entries")
     vector_rhs = b.ndim == 1
     if vector_rhs:
         b = b.reshape(-1, 1)
     n_rows, n_cols = a.shape
     if b.shape[0] != n_rows:
         raise ValueError("rhs length mismatch")
-    rhs = [[Fraction(x) for x in row] for row in b]
-    m, rhs, pivots = _row_echelon_exact(a.tolist(), rhs)
-    # consistency: zero rows of the echelon form must have zero rhs
-    for r in range(len(pivots), n_rows):
-        if any(x != 0 for x in rhs[r]):
-            return None
-    k = b.shape[1]
-    x = [[Fraction(0)] * k for _ in range(n_cols)]
-    for r in range(len(pivots) - 1, -1, -1):
-        pc = pivots[r]
-        for j in range(k):
-            s = sum(m[r][c] * x[c][j] for c in range(pc + 1, n_cols))
-            x[pc][j] = (rhs[r][j] - s) / m[r][pc]
-    out = np.empty((n_cols, k), dtype=object)
-    for i in range(n_cols):
-        for j in range(k):
-            out[i, j] = x[i][j]
-    return out[:, 0] if vector_rhs else out
-
-
-def inverse_exact(a):
-    """Exact inverse of a square rational matrix, or None if singular."""
-    a = np.asarray(a, dtype=object)
-    n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("inverse of a non-square matrix")
-    eye = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            eye[i, j] = Fraction(1 if i == j else 0)
-    if rank_exact(a) < n:
+    rows = integer_rows(np.hstack([a, b]))
+    pivots = _echelon(rows, n_cols)
+    # consistency: the rows without a pivot must have a zero right-hand side
+    if any(x for row in rows[len(pivots):] for x in row[n_cols:]):
         return None
-    return solve_exact(a, eye)
+    out = np.full((n_cols, b.shape[1]), Fraction(0), dtype=object)
+    for j in range(b.shape[1]):
+        out[pivots, j] = _back_substitute(
+            rows, pivots, [row[n_cols + j] for row in rows]
+        )
+    return out[:, 0] if vector_rhs else out
 
 
 def frobenius(a):

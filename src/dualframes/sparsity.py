@@ -22,10 +22,10 @@ from .frames import Frame, row_delete
 from .numerics import (
     bareiss_span,
     integer_rows,
-    inverse_exact,
     is_rational,
     nullspace_basis,
     rank_tol,
+    solve_exact,
     to_float,
 )
 
@@ -307,7 +307,7 @@ def biorthogonal_dual(frame, cols=None, tol=None):
         raise SingularSubset(f"need exactly n={n} columns, got {len(cols)}")
     block = frame.matrix[:, cols]
     if frame.is_exact:
-        inv = inverse_exact(block)
+        inv = solve_exact(block, np.eye(n, dtype=int).astype(object))
         if inv is None:
             raise SingularSubset(f"columns {cols} are not independent")
         psi_block = np.conjugate(inv).T

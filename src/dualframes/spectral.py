@@ -247,12 +247,16 @@ def lambda_region(frame):
 
 
 def dual_eigs_2x3(sigma1, sigma2, s1, s2):
-    """Eigenvalues of the 2x3 dual frame operator in the (s1, s2) chart."""
+    """Eigenvalues of the 2x3 dual frame operator in the (s1, s2) chart;
+    ``s1`` and ``s2`` may be arrays of one shape, evaluated elementwise."""
     if not sigma1 >= sigma2 > 0:
         raise BadShape("need sigma1 >= sigma2 > 0")
     d1 = 1.0 / sigma1 ** 2 + s1 * s1
     d2 = 1.0 / sigma2 ** 2 + s2 * s2
     tr = d1 + d2
-    det = d1 * d2 - (s1 * s2) ** 2
-    radius = math.sqrt(max(tr * tr - 4.0 * det, 0.0))
+    # float_power calls the C pow per element, as ** does on a scalar, so
+    # a grid gives the same bits as pointwise calls; ** 2 on an array
+    # squares instead, which differs in the last bit at a few points
+    det = d1 * d2 - np.float_power(s1 * s2, 2)
+    radius = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
     return 0.5 * tr + 0.5 * radius, 0.5 * tr - 0.5 * radius

@@ -36,3 +36,19 @@ def frac_matrix(rows):
     return np.array(
         [[Fraction(x) for x in row] for row in rows], dtype=object
     )
+
+
+def random_rational_matrix(rng, n, m, rank=None):
+    """n-by-m object matrix of p/q entries (|p| <= 6, 1 <= q <= 4, about a
+    third of them zero); with ``rank``, the product of an n-by-rank and a
+    rank-by-m such matrix, so its rank is at most ``rank``."""
+    if rank is not None:
+        return random_rational_matrix(rng, n, rank) @ random_rational_matrix(
+            rng, rank, m
+        )
+    p = rng.integers(-6, 7, size=(n, m)) * (rng.random((n, m)) > 1 / 3)
+    q = rng.integers(1, 5, size=(n, m))
+    return np.array(
+        [[Fraction(int(a), int(b)) for a, b in zip(pr, qr)] for pr, qr in zip(p, q)],
+        dtype=object,
+    )

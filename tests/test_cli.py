@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -208,6 +209,38 @@ def test_surface_command(capsys, spectral_file, tmp_path):
     assert lines[0] == "s1,s2,lambda1,lambda2"
     assert len(lines) == 1 + 25
     assert rep["results"]["rows"] == 25
+
+
+def test_surface_failed_write_leaves_no_temp_file(
+    capsys, monkeypatch, spectral_file, tmp_path
+):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        main(["surface", spectral_file, "--range=-1,1", "--step", "0.5",
+              "-o", str(out_dir / "surface.csv")])
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["feasible", "FRAME", "--spectrum", "1,abc"], 6),
+    (["tetris", "--eigs", "2.5,x"], 7),
+    (["surface", "FRAME", "--range", "a,b"], 6),
+    (["surface", "FRAME", "--range", "1"], 6),
+    (["generate", "vandermonde", "--xs", "1,q", "--ys", "1,2"], 6),
+])
+def test_malformed_number_list_exit(
+    capsys, monkeypatch, spectral_file, tmp_path, argv, code
+):
+    monkeypatch.chdir(tmp_path)
+    assert main([spectral_file if a == "FRAME" else a for a in argv]) == code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.glob("*.csv")) == [tmp_path / "spectral.csv"]
 
 
 class TestGenerate:

@@ -18,7 +18,9 @@ from dualframes.experiments import (
     vandermonde_frame,
 )
 from dualframes.frames import Frame, frame_operator
+from dualframes.numerics import singular_values
 from dualframes.sparsity import in_P, sparsity_bounds
+from dualframes.spectral import dual_eigs_2x3
 
 
 class TestVandermonde:
@@ -121,6 +123,15 @@ class TestSurface:
         f = Frame(np.eye(3))
         with pytest.raises(BadShape):
             surface_2x3(f)
+
+    def test_grid_matches_pointwise_evaluation(self, ex_spectral):
+        # the vectorized grid gives the bits of one scalar call per point
+        table = surface_2x3(ex_spectral, s_range=(-3.0, 3.0), step=0.05)
+        sigma = singular_values(ex_spectral.as_float())
+        pointwise = [
+            dual_eigs_2x3(sigma[0], sigma[1], s1, s2) for s1, s2 in table[:, :2]
+        ]
+        assert table[:, 2:].tolist() == [[float(a), float(b)] for a, b in pointwise]
 
 
 def test_sample_gaussian_frame_reproducible():

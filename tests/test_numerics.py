@@ -6,7 +6,7 @@ import pytest
 from dualframes import numerics as nm
 from dualframes.errors import FieldMismatch, ShapeMismatch
 
-from conftest import EX_SPECTRAL, frac_matrix
+from conftest import EX_SPECTRAL, frac_matrix, random_rational_matrix
 
 
 class TestSVD:
@@ -158,7 +158,28 @@ class TestNullspace:
             )
 
 
+    def test_rational_basis_is_annihilated(self):
+        # A N = 0 exactly, with one basis column per free column
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            n, m = (int(x) for x in rng.integers(1, 7, size=2))
+            a = random_rational_matrix(rng, n, m, rank=int(rng.integers(1, 4)))
+            basis = nm.nullspace_basis(a)
+            assert basis.shape == (m, m - nm.rank_tol(a))
+            assert np.all(a @ basis == 0)
+
+
 class TestSolveExact:
+    def test_rational_solution_satisfies_system(self):
+        # A x = b exactly for consistent p/q systems, vector and matrix rhs
+        rng = np.random.default_rng(9)
+        for _ in range(60):
+            n, m = (int(x) for x in rng.integers(1, 7, size=2))
+            a = random_rational_matrix(rng, n, m, rank=int(rng.integers(1, 4)))
+            b = a @ random_rational_matrix(rng, m, 3)
+            assert np.all(a @ nm.solve_exact(a, b) == b)
+            assert np.all(a @ nm.solve_exact(a, b[:, 0]) == b[:, 0])
+
     def test_overdetermined_consistent(self):
         x = nm.solve_exact(frac_matrix([[1], [1]]), frac_matrix([[1], [1]])[:, 0])
         assert x[0] == 1
@@ -177,3 +198,5 @@ class TestSolveExact:
     def test_rejects_floats(self):
         with pytest.raises(FieldMismatch):
             nm.solve_exact(np.array([[1.0]], dtype=object), [1.0])
+        with pytest.raises(FieldMismatch):
+            nm.solve_exact(frac_matrix([[1]]), np.array([0.5], dtype=object))

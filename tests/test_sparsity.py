@@ -25,7 +25,7 @@ from dualframes.sparsity import (
     sparsity_bounds,
 )
 
-from conftest import frac_matrix, random_integer_frame
+from conftest import frac_matrix, random_integer_frame, random_rational_matrix
 
 # the three sparsest duals of [[1,-1,0],[1,2,-1]], in enumeration order
 PSI_1 = [[0, -1, -2], [0, 0, -1]]
@@ -318,6 +318,28 @@ class TestBiorthogonal:
             psi = biorthogonal_dual(f)
             assert nnz(psi) <= 9
             assert is_dual(f, psi)[1] == 0
+
+    def test_rational_frames_every_subset(self):
+        # Psi Phi* = I exactly on p/q frames for every independent n-subset,
+        # and SingularSubset exactly for the dependent ones
+        rng = np.random.default_rng(14)
+        singular = 0
+        for _ in range(6):
+            a = random_rational_matrix(rng, 3, 6)
+            if rank_tol(a) < 3:
+                continue
+            f = Frame(a)
+            for cols in itertools.combinations(range(6), 3):
+                if rank_tol(f.matrix[:, cols]) < 3:
+                    with pytest.raises(SingularSubset):
+                        biorthogonal_dual(f, cols=cols)
+                    singular += 1
+                    continue
+                psi = biorthogonal_dual(f, cols=cols).matrix
+                assert np.all(psi @ f.matrix.T == np.eye(3, dtype=int))
+                off = [c for c in range(6) if c not in cols]
+                assert not np.any(psi[:, off] != 0)
+        assert singular > 0
 
 
 class TestGeneralPosition:
