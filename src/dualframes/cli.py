@@ -2,10 +2,12 @@
 
 Matrices travel as MatrixFiles (see matrixio), results as JSON reports with
 stable key order.  Exit codes: 0 ok, 2 parse/rank failure, 3 subset budget,
-4 no tight dual, 5 bound infeasible, 6 bad spectrum target or malformed
-number list, 7 invalid or malformed tetris spectrum, 8 enumeration
-truncated at --limit (the report is still printed),
-9 a numerical kernel failed or a built dual failed its duality check.
+4 no tight dual, 5 bound infeasible, 6 bad spectrum target, malformed
+number list, missing generator option or bad surface grid, 7 invalid or
+malformed tetris spectrum, 8 enumeration truncated at --limit (the report
+is still printed), 9 a numerical kernel failed or a built dual failed its
+duality check, 10 an output file could not be written.  An input file that
+cannot be read exits 2.
 Row/pick indices on the command line are 1-based.
 """
 
@@ -33,6 +35,8 @@ from .errors import (
     SizeLimit,
     TooManyPicks,
     Truncated,
+    UnreadableInput,
+    UnwritableOutput,
 )
 from .frames import (
     Frame,
@@ -41,13 +45,7 @@ from .frames import (
     frame_bounds,
     is_dual,
 )
-from .matrixio import (
-    _format_entry,
-    field_of,
-    read_matrix,
-    write_atomic,
-    write_matrix,
-)
+from .matrixio import format_rows, read_matrix, write_atomic, write_matrix
 
 SCHEMA_VERSION = 1
 
@@ -60,6 +58,7 @@ EXIT_BAD_TARGET = 6
 EXIT_INVALID_SPECTRUM = 7
 EXIT_TRUNCATED = 8
 EXIT_NON_CONVERGENCE = 9
+EXIT_UNWRITABLE_OUTPUT = 10
 
 # duality residual ||Psi Phi* - I||_F a built dual must meet
 DUAL_CHECK_TOL = 1e-9
@@ -70,9 +69,9 @@ def _digest(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _matrix_json(mat):
-    field = field_of(mat)
-    return [[_format_entry(v, field) for v in row] for row in np.asarray(mat)]
+# a report matrix is its rows of entry strings; bench/tracing.py counts the
+# entries reported through this name
+_matrix_json = format_rows
 
 
 def _report(command, args, results, tolerances=None, tolerance_dependent=False,
@@ -228,9 +227,13 @@ def cmd_tight(args):
         "dual": _matrix_json(dual.matrix),
     }
     report = _report("tight", args, results, t0=t0, input_path=args.input)
+    # at most n of the n x (m - n) entries are nonzero
+    nonzero = " ".join(f"({i}, {j}, {results['s_block'][i][j]})"
+                       for i, j in np.argwhere(s_block).tolist())
     _emit(report, args.json, [
         f"tight dual with sigma_psi = {spec.sigma_psi:.12g} ({spec.case})",
-        f"s block: {results['s_block']}",
+        f"s block: {s_block.shape[0]}x{s_block.shape[1]}, "
+        f"nonzero (row, col, value): {nonzero or 'none'}",
     ])
     return EXIT_OK
 
@@ -365,8 +368,21 @@ def cmd_surface(args):
     return EXIT_OK
 
 
+# the options each generator reads, as spelled on the command line
+_GENERATOR_OPTIONS = {
+    "vandermonde": ("--xs", "--ys"),
+    "dft": ("-n", "-m"),
+    "gabor": ("-n",),
+    "gaussian": ("-n", "-m"),
+}
+
+
 def cmd_generate(args):
     t0 = time.perf_counter()
+    missing = [opt for opt in _GENERATOR_OPTIONS[args.generator]
+               if getattr(args, opt.lstrip("-")) is None]
+    if missing:
+        raise BadTarget(f"generate {args.generator} needs {' and '.join(missing)}")
     if args.generator == "vandermonde":
         xs = _float_list(args.xs, BadTarget)
         ys = _float_list(args.ys, BadTarget)
@@ -377,11 +393,9 @@ def cmd_generate(args):
         rng = np.random.default_rng(args.seed)
         window = rng.standard_normal(args.n) + 1j * rng.standard_normal(args.n)
         frame = experiments.gabor_frame(window)
-    elif args.generator == "gaussian":
+    else:
         rng = np.random.default_rng(args.seed)
         frame = experiments.sample_gaussian_frame(args.n, args.m, rng)
-    else:
-        raise BadTarget(f"unknown generator {args.generator!r}")
     out = args.output or f"{args.generator}.csv"
     write_matrix(frame.matrix, out)
     results = {"n": frame.n, "m": frame.m, "file": out}
@@ -461,7 +475,7 @@ def build_parser():
     sp.set_defaults(func=cmd_surface)
 
     sp = sub.add_parser("generate", help="frame generators")
-    sp.add_argument("generator", choices=["vandermonde", "dft", "gabor", "gaussian"])
+    sp.add_argument("generator", choices=list(_GENERATOR_OPTIONS))
     sp.add_argument("--xs", help="vandermonde column nodes")
     sp.add_argument("--ys", help="vandermonde row exponents")
     sp.add_argument("-n", type=int)
@@ -474,13 +488,14 @@ def build_parser():
 
 
 _EXIT_CODES = [
-    ((ParseError, RankDeficient), EXIT_NOT_A_FRAME),
+    ((ParseError, RankDeficient, UnreadableInput), EXIT_NOT_A_FRAME),
     ((SizeLimit,), EXIT_SIZE_LIMIT),
     ((NoTightDual,), EXIT_NO_TIGHT_DUAL),
     ((BoundInfeasible, BelowCanonical, TooManyPicks), EXIT_BOUND_INFEASIBLE),
     ((BadTarget,), EXIT_BAD_TARGET),
     ((InvalidSpectrum,), EXIT_INVALID_SPECTRUM),
     ((NonConvergence,), EXIT_NON_CONVERGENCE),
+    ((UnwritableOutput,), EXIT_UNWRITABLE_OUTPUT),
 ]
 
 
@@ -495,9 +510,6 @@ def main(argv=None):
             if isinstance(exc, classes):
                 return code
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_A_FRAME
 
 
 if __name__ == "__main__":

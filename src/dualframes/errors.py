@@ -96,6 +96,14 @@ class ParseError(DualFramesError, ValueError):
     """Matrix file could not be parsed."""
 
 
+class UnreadableInput(DualFramesError, OSError):
+    """Input file could not be opened, or is not UTF-8 text."""
+
+
+class UnwritableOutput(DualFramesError, OSError):
+    """Output file could not be written; nothing was left at its path."""
+
+
 class Truncated(DualFramesError):
     """Enumeration stopped at the requested limit; partial result attached."""
 

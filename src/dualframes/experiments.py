@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sparsity
-from .errors import BadShape, DuplicateNode, ScheduleExhausted, ZeroWindow
+from .errors import (
+    BadShape,
+    BadTarget,
+    DuplicateNode,
+    ScheduleExhausted,
+    ZeroWindow,
+)
 from .frames import Frame
 from .numerics import singular_values
 from .spectral import dual_eigs_2x3
@@ -174,12 +180,18 @@ def nudge_to_generic(frame0, frame1=None, t_schedule=None, budget=None):
 def surface_2x3(frame, s_range=(-3.0, 3.0), step=0.05):
     """Eigenvalue surface of all duals of a 2x3 frame over an (s1, s2) grid.
 
-    Returns an array of rows (s1, s2, lambda1, lambda2) in grid order.
+    Returns an array of rows (s1, s2, lambda1, lambda2) in grid order.  A
+    step that is not positive and finite, or a range that is not finite with
+    lo <= hi, raises BadTarget.
     """
     if frame.n != 2 or frame.m != 3:
         raise BadShape("surface is defined for 2x3 frames only")
-    sigma = singular_values(frame.as_float())
     lo, hi = s_range
+    if not (math.isfinite(step) and step > 0):
+        raise BadTarget(f"surface step must be positive and finite, got {step!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise BadTarget(f"surface range needs finite lo <= hi, got {lo!r},{hi!r}")
+    sigma = singular_values(frame.as_float())
     count = int(round((hi - lo) / step)) + 1
     grid = lo + step * np.arange(count)
     s1, s2 = np.meshgrid(grid, grid, indexing="ij")

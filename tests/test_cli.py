@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -221,9 +222,10 @@ def test_surface_failed_write_leaves_no_temp_file(
         raise OSError("rename failed")
 
     monkeypatch.setattr(os, "replace", fail)
-    with pytest.raises(OSError):
-        main(["surface", spectral_file, "--range=-1,1", "--step", "0.5",
-              "-o", str(out_dir / "surface.csv")])
+    out = str(out_dir / "surface.csv")
+    assert main(["surface", spectral_file, "--range=-1,1", "--step", "0.5",
+                 "-o", out]) == 10
+    assert f"cannot write {out}: rename failed" in capsys.readouterr().err
     assert list(out_dir.iterdir()) == []
 
 
@@ -241,6 +243,63 @@ def test_malformed_number_list_exit(
     assert main([spectral_file if a == "FRAME" else a for a in argv]) == code
     assert capsys.readouterr().err.startswith("error: ")
     assert list(tmp_path.glob("*.csv")) == [tmp_path / "spectral.csv"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["generate", "vandermonde", "--ys", "1,2"], "--xs"),
+    (["generate", "dft"], "-n and -m"),
+    (["generate", "gaussian", "-n", "2"], "-m"),
+    (["surface", "FRAME", "--step", "0"], "step"),
+    (["surface", "FRAME", "--step=-0.5"], "step"),
+    (["surface", "FRAME", "--step", "nan"], "step"),
+    (["surface", "FRAME", "--range=1,-1"], "range"),
+])
+def test_bad_argument_exit(capsys, monkeypatch, spectral_file, tmp_path,
+                           argv, named):
+    monkeypatch.chdir(tmp_path)
+    assert main([spectral_file if a == "FRAME" else a for a in argv]) == 6
+    assert named in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == [tmp_path / "spectral.csv"]
+
+
+class TestIOErrors:
+    def test_unwritable_output_names_requested_path(
+        self, capsys, sparse_file, tmp_path
+    ):
+        out = str(tmp_path / "missing_dir" / "x.csv")
+        assert main(["analyze", sparse_file, "-o", out]) == 10
+        err = capsys.readouterr().err
+        assert f"cannot write {out}:" in err
+        assert ".tmp" not in err
+
+    def test_directory_input(self, capsys, tmp_path):
+        assert main(["analyze", str(tmp_path)]) == 2
+        assert f"cannot read {tmp_path}:" in capsys.readouterr().err
+
+    def test_binary_input(self, capsys, tmp_path):
+        path = tmp_path / "bin.csv"
+        path.write_bytes(b"1,2\n\xff\xfe,3\n")
+        assert main(["analyze", str(path)]) == 2
+        assert f"cannot read {path}:" in capsys.readouterr().err
+
+
+class TestTightSummary:
+    def test_nonzero_entries_only(self, capsys, spectral_file):
+        assert main(["tight", spectral_file]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # sigma = (3, 1/2) and sigma_psi = 2: only s_11 = sqrt(4 - 1/9) != 0
+        assert re.fullmatch(
+            r"s block: 2x1, nonzero \(row, col, value\): \(0, 0, 1\.972\d*\)",
+            lines[1],
+        )
+
+    def test_zero_block(self, capsys, tmp_path):
+        path = tmp_path / "parseval.csv"
+        path.write_text("# field=real\n1,0,0\n0,1,0\n")
+        assert main(["tight", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == (
+            "s block: 2x1, nonzero (row, col, value): none"
+        )
 
 
 class TestGenerate:

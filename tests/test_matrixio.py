@@ -1,15 +1,19 @@
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from dualframes import matrixio
 from dualframes.errors import ParseError
 from dualframes.matrixio import (
     format_matrix,
+    format_rows,
     parse_matrix,
     read_matrix,
     write_matrix,
 )
+from dualframes.numerics import FIELD_COMPLEX, FIELD_RATIONAL, field_of
 
 
 class TestParse:
@@ -113,3 +117,97 @@ def test_write_is_atomic_and_readable(tmp_path):
     assert read_matrix(path).tolist() == mat.tolist()
     # no leftover temp files
     assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
+
+
+# entry atoms of the fuzz texts: every entry kind of the grammar, the forms
+# the bulk gate must keep away from float()/complex(), and entries whose
+# per-entry value differs from float()/complex() of the text (-0, overflow)
+FUZZ_ATOMS = [
+    "1", "-7", "+4", "0", "-0", "12345678901234567890", "1" + "0" * 400,
+    "-0.0", ".5", "3.", "1e+5", "1E-3", "1e999", "1/2", "-3/4", "2/0", "i",
+    "-i", "+i", "2i", "-5e-05i", "1.5-5.6e-05i", "0.25+i", "3-0i", "1+-2i",
+    "-.5e-3i", "inf", "nan", "1_0", "(1+2i)", "1i2", " 3 ", "\t2.5", "e",
+    "1 i", "",
+]
+FUZZ_HEADERS = [
+    "", "# field=real\n", "# field=complex\n", "# field=rational\n",
+    "# a comment\n",
+]
+
+
+def _fuzz_text(rng):
+    rows, width = rng.randint(1, 3), rng.randint(1, 4)
+    lines = []
+    for _ in range(rows):
+        cells = width + (rng.random() < 0.05)  # now and then a ragged row
+        # now and then an entry of two atoms, such as "1" "i" or "-" "0"
+        atoms = [1 + (rng.random() < 0.15) for _ in range(cells)]
+        lines.append(",".join(
+            "".join(rng.choice(FUZZ_ATOMS) for _ in range(k)) for k in atoms
+        ))
+        if rng.random() < 0.1:
+            lines.append("")
+    return rng.choice(FUZZ_HEADERS) + rng.choice(["\n", "\r\n"]).join(lines)
+
+
+def _outcome(parse, text):
+    # the per-entry path lets ValueError and OverflowError through on some
+    # entries (inf, nan or 1e999 in a rational file, a 400-digit integer in
+    # a floating one): both paths must raise the same
+    try:
+        mat = parse(text)
+    except (ParseError, ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    if mat.dtype == object:
+        return mat.shape, [(type(v), v) for v in mat.ravel().tolist()]
+    return mat.shape, mat.dtype.str, mat.tobytes()
+
+
+def _per_entry(text):
+    return matrixio._parse_entries(*matrixio._data_lines(text))
+
+
+def test_bulk_parse_matches_per_entry_path():
+    rng = random.Random(20120)
+    bulk_taken = 0
+    for _ in range(6000):
+        text = _fuzz_text(rng)
+        assert _outcome(parse_matrix, text) == _outcome(_per_entry, text), text
+        declared, lines = matrixio._data_lines(text)
+        bulk_taken += bool(lines) and matrixio._parse_bulk(declared, lines) is not None
+    assert bulk_taken >= 300  # the bulk path is exercised, not only bypassed
+
+
+def _format_entry(val, field):
+    """The per-entry formatter that ``format_rows`` replaced, kept as the
+    reference."""
+    if field == FIELD_RATIONAL:
+        f = Fraction(val)
+        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    if field == FIELD_COMPLEX:
+        c = complex(val)
+        sign = "+" if c.imag >= 0 else "-"
+        return f"{c.real!r}{sign}{abs(c.imag)!r}i"
+    return repr(float(val))
+
+
+SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324, 1e300, 0.1,
+           -2.5, 5.6e-05, -3e-300, 7e-05]
+
+
+@pytest.mark.parametrize("mat", [
+    np.array([SPECIAL, SPECIAL[::-1]]),
+    np.array([[complex(a, b) for b in SPECIAL] for a in SPECIAL]),
+    np.array([[1, -2, 0], [3, 4, 5]]),
+    np.array([[0.1, -0.0, np.inf]], dtype=np.float32),
+    np.array([[1 + 1e-05j, -0.0 - 0.0j]], dtype=np.complex64),
+    np.array([[1, Fraction(-1, 3), 0], [Fraction(7), -4, Fraction(22, 7)]],
+             dtype=object),
+    np.zeros((0, 3)),
+], ids=["real", "complex", "int", "float32", "complex64", "rational", "empty"])
+def test_format_rows_matches_per_entry_formatter(mat):
+    field = field_of(mat)
+    expected = [[_format_entry(v, field) for v in row] for row in mat]
+    assert format_rows(mat) == expected
+    assert format_matrix(mat) == "\n".join(
+        [f"# field={field}"] + [",".join(row) for row in expected]) + "\n"
