@@ -115,6 +115,16 @@ def _float_list(text, error):
         raise error(f"bad number list {text!r}") from exc
 
 
+def _count(text):
+    """argparse type of ``--limit``: anything but an integer >= 0 exits 2."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+
+
 def _verified_residual(frame, dual):
     """Duality residual of a built dual; NonConvergence if over the limit."""
     ok, resid = is_dual(frame, dual, DUAL_CHECK_TOL)
@@ -425,7 +435,8 @@ def build_parser():
     sp = sub.add_parser("sparsest", help="sparsest dual with certificate")
     sp.add_argument("input")
     sp.add_argument("--all", action="store_true", help="enumerate all sparsest duals")
-    sp.add_argument("--limit", type=int, help="cap for --all enumeration")
+    sp.add_argument("--limit", type=_count,
+                    help="cap (>= 0) for --all enumeration")
     sp.add_argument("--exact", action="store_true", default=None,
                     help="require the exact rational path (default: decided by the file)")
     sp.add_argument("--tol", type=float, help="rank tolerance on the floating path")

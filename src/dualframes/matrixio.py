@@ -155,20 +155,17 @@ def _parse_entries(declared, lines):
             raise ParseError("complex entries in a rational-declared file")
         field = FIELD_RATIONAL
 
-    if field == FIELD_RATIONAL:
-        out = np.empty((len(rows), width), dtype=object)
-        for i, row in enumerate(rows):
-            for j, (val, kind) in enumerate(row):
-                if kind == FIELD_REAL:
-                    val = Fraction(val)  # exact binary value of the decimal
-                out[i, j] = Fraction(val)
-        return out
-    dtype = complex if field == FIELD_COMPLEX else float
-    return np.array(
-        [[dtype(complex(val) if dtype is complex else float(val)) for val, _ in row]
-         for row in rows],
-        dtype=dtype,
-    )
+    # a decimal on the exact path is taken at its exact binary value; an
+    # inf or nan has none, and an integer may not fit a float
+    convert = {FIELD_RATIONAL: Fraction, FIELD_COMPLEX: complex}.get(field, float)
+    values = []
+    for (lineno, _), row in zip(lines, rows):
+        try:
+            values.append([convert(val) for val, _ in row])
+        except (OverflowError, ValueError) as exc:
+            raise ParseError(f"line {lineno}: entry not representable "
+                             f"in the {field} field ({exc})") from exc
+    return np.array(values, dtype=object if convert is Fraction else convert)
 
 
 def parse_matrix(text):

@@ -165,23 +165,27 @@ def spark(a, budget=DEFAULT_BUDGET, tol=None):
 
 
 def _row_supports(frame, rows, budget, tol):
-    """spark_j and all minimal supports of each row j in ``rows``, from one
-    pass over the subsets.
+    """spark_j, all minimal supports and spark(Phi^{(j)}) of each row j in
+    ``rows``, from one pass over the subsets.
 
     A support S of row j has Phi^{(j)}_S dependent and Phi_S independent,
     i.e. e_j in span(Phi_S); spark_j is the smallest |S| with a support.
-    Returns {j: (spark_j, supports in lexicographic order)}.
+    spark(Phi^{(j)}), the smallest |S| with Phi^{(j)}_S dependent, is never
+    larger, so the pass meets it while row j is still open.
+    Returns {j: (spark_j, supports in lexicographic order, spark(Phi^{(j)}))}.
     """
     scan = _Scanner(frame.matrix, budget, tol)
-    found = {}
+    found, lower = {}, {}
     open_rows = list(rows)
     for s in range(1, frame.n + 1):
         hits = {j: [] for j in open_rows}
         for block, full, deleted in scan.chunks(s, open_rows):
-            ok = (deleted < s) & (full == s)[:, None]
-            for k, i in zip(*np.nonzero(ok)):
+            dependent = deleted < s
+            for i in np.flatnonzero(dependent.any(axis=0)):
+                lower.setdefault(open_rows[i], s)
+            for k, i in zip(*np.nonzero(dependent & (full == s)[:, None])):
                 hits[open_rows[i]].append(block[k])
-        found.update((j, (s, c)) for j, c in hits.items() if c)
+        found.update((j, (s, c, lower[j])) for j, c in hits.items() if c)
         open_rows = [j for j in open_rows if j not in found]
         if not open_rows:
             return found
@@ -208,8 +212,7 @@ def generalized_spark(frame, j, budget=DEFAULT_BUDGET, tol=None):
 def generalized_spark_sum(frame, budget=DEFAULT_BUDGET, tol=None):
     """sum_j spark_j, the sparsity of a sparsest dual, from one pass over the
     subsets that decides every row; all rows share one budget."""
-    supports = _row_supports(frame, range(frame.n), _Budget(budget), tol)
-    return sum(s for s, _ in supports.values())
+    return sparsity_bounds(frame, budget, tol)[1]
 
 
 def _row_vector(frame, cols, lam, a):
@@ -235,7 +238,7 @@ def sparsest_dual(frame, budget=DEFAULT_BUDGET, tol=None):
     cert = SparsityCertificate(tolerance_dependent=not frame.is_exact)
     rows = []
     for j in range(frame.n):
-        s, cands = supports[j]
+        s, cands, _ = supports[j]
         cols = cands[0]
         lam, a = _certify(frame, j, cols, tol)
         rows.append(_row_vector(frame, cols, lam, a))
@@ -247,44 +250,32 @@ def sparsest_dual(frame, budget=DEFAULT_BUDGET, tol=None):
 
 
 def enumerate_sparsest_duals(frame, limit=None, budget=DEFAULT_BUDGET, tol=None):
-    """All sparsest duals: Cartesian product of the per-row minimal-support
-    solutions, deduplicated and sorted by flattened entry order."""
+    """All sparsest duals in flattened entry order: the product of the sorted
+    per-row minimal-support solutions (distinct supports give distinct rows),
+    taken lazily; past ``limit`` duals, Truncated carries the first ones."""
     supports = _row_supports(frame, range(frame.n), _Budget(budget), tol)
     per_row = [
-        [_row_vector(frame, c, *_certify(frame, j, c, tol))
-         for c in supports[j][1]]
+        sorted((_row_vector(frame, c, *_certify(frame, j, c, tol))
+                for c in supports[j][1]), key=tuple)
         for j in range(frame.n)
     ]
-    seen = set()
-    duals = []
-    for combo in itertools.product(*per_row):
-        mat = np.vstack([r.reshape(1, -1) for r in combo])
-        key = tuple(mat.flat) if frame.is_exact else tuple(
-            np.round(to_float(mat), 12).flat
-        )
-        if key in seen:
-            continue
-        seen.add(key)
-        duals.append(mat)
-    duals.sort(key=lambda m: tuple(m.flat) if frame.is_exact else tuple(to_float(m).flat))
-    if limit is not None and len(duals) > limit:
-        raise Truncated(limit, [Frame(m) for m in duals[:limit]])
-    return [Frame(m) for m in duals]
+    combos = itertools.product(*per_row)
+    duals = [Frame(np.vstack(rows)) for rows in itertools.islice(combos, limit)]
+    if next(combos, None) is not None:
+        raise Truncated(limit, duals)
+    return duals
 
 
 def sparsity_bounds(frame, budget=DEFAULT_BUDGET, tol=None):
     """(lower, exact, upper) = (sum spark(Phi^{(j)}), sum spark_j, n^2).
 
-    The exact sum comes from one scan in which all rows share one budget
-    (``generalized_spark_sum``); each spark(Phi^{(j)}) of the lower sum is
-    a search of its own with its own budget.
+    Both sums come from one scan in which all rows share one budget:
+    spark(Phi^{(j)}) is the first cardinality at which row j meets a
+    dependent Phi^{(j)}_S, which the scan reaches no later than spark_j.
     """
-    lower = sum(
-        spark(row_delete(frame, j), budget=budget, tol=tol).spark
-        for j in range(frame.n)
-    )
-    exact = generalized_spark_sum(frame, budget=budget, tol=tol)
-    return lower, exact, frame.n ** 2
+    rows = _row_supports(frame, range(frame.n), _Budget(budget), tol).values()
+    lower = sum(low for _, _, low in rows)
+    return lower, sum(s for s, _, _ in rows), frame.n ** 2
 
 
 def biorthogonal_dual(frame, cols=None, tol=None):

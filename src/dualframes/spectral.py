@@ -221,15 +221,12 @@ def spectrum_feasible(frame, target, tol=1e-9):
 
 
 def dual_bound_range(frame):
-    """Admissible dual frame bounds: upper in [1/sigma_n^2, inf), lower in
-    [1/sigma_1^2, 1/sigma_{m-n+1}^2] (infinite right end when m >= 2n)."""
-    sigma = numerics.singular_values(frame.matrix)
-    n, m = frame.n, frame.m
-    upper_range = (1.0 / sigma[-1] ** 2, math.inf)
-    r1 = m - n + 1  # 1-based
-    hi = math.inf if r1 > n else 1.0 / sigma[r1 - 1] ** 2
-    lower_range = (1.0 / sigma[0] ** 2, hi)
-    return lower_range, upper_range
+    """Admissible dual frame bounds (lower, upper): the ``lambda_region``
+    intervals of the smallest and the largest dual frame-operator
+    eigenvalue.  A square frame has only the canonical dual, so both are
+    points there."""
+    region = lambda_region(frame)
+    return region[-1], region[0]
 
 
 def lambda_region(frame):

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,6 +119,23 @@ class TestSparsest:
         assert len(r["all_duals"]) == 5
         assert rep["tolerance_dependent"] is False
 
+    @pytest.mark.parametrize("limit", ["-1", "abc"])
+    def test_limit_must_be_a_count(self, capsys, sparse_file, limit):
+        with pytest.raises(SystemExit) as exc:
+            main(["sparsest", sparse_file, "--all", "--limit", limit])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--limit" in captured.err
+
+    def test_limit_zero_reports_no_dual(self, capsys, sparse_file):
+        code, rep = run_json(
+            capsys, ["sparsest", sparse_file, "--all", "--limit", "0"]
+        )
+        assert code == 8
+        assert rep["results"]["all_duals"] == []
+        assert rep["results"]["truncated"] is True
+
     def test_exact_on_float_input(self, capsys, spectral_file):
         assert main(["sparsest", spectral_file, "--exact"]) == 2
 
@@ -206,7 +224,7 @@ def test_surface_command(capsys, spectral_file, tmp_path):
         "-o", out,
     ])
     assert code == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "s1,s2,lambda1,lambda2"
     assert len(lines) == 1 + 25
     assert rep["results"]["rows"] == 25

@@ -222,6 +222,7 @@ def test_scanner_matches_per_row_definition():
             s, ref = _reference_row(f, j)
             rows += 1
             assert supports[j][0] == s == cert.rows[j].spark_j
+            assert supports[j][2] == spark(row_delete(f, j)).spark
             assert generalized_spark(f, j) == s
             assert supports[j][1] == [cols for cols, _, _ in ref]
             for cols, lam, a in ref:
@@ -256,6 +257,28 @@ class TestEnumerate:
             enumerate_sparsest_duals(ex_sparse, limit=2)
         assert len(exc.value.partial) == 2
 
+    def test_sorted_product_and_prefix_under_limit(self):
+        # the full list is strictly increasing in flattened entry order, and
+        # a limit of k leaves its first k duals
+        rng = np.random.default_rng(41)
+        frames = [
+            random_integer_frame(rng, 2, 5),
+            Frame(np.array(random_rational_matrix(rng, 2, 5), dtype=object)),
+            Frame(rng.standard_normal((2, 5))),
+            Frame(rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))),
+        ]
+        for f in frames:
+            duals = enumerate_sparsest_duals(f)
+            assert len(duals) > 5
+            keys = [tuple(d.matrix.flat) for d in duals]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            for k in (0, 1, 2, 5):
+                with pytest.raises(Truncated) as exc:
+                    enumerate_sparsest_duals(f, limit=k)
+                assert exc.value.limit == k
+                assert exc.value.partial == duals[:k]
+            assert enumerate_sparsest_duals(f, limit=len(duals)) == duals
+
 
 def test_sparsity_bounds(ex_sparse):
     assert sparsity_bounds(ex_sparse) == (3, 3, 4)
@@ -276,8 +299,9 @@ def test_spark_sum_matches_per_row_sums():
         for tol in tols:
             per_row = sum(generalized_spark(f, j, tol=tol) for j in range(f.n))
             assert generalized_spark_sum(f, tol=tol) == per_row
-        assert sparsity_bounds(f)[1] == sum(
-            generalized_spark(f, j) for j in range(f.n)
+        assert sparsity_bounds(f)[:2] == (
+            sum(spark(row_delete(f, j)).spark for j in range(f.n)),
+            sum(generalized_spark(f, j) for j in range(f.n)),
         )
 
 

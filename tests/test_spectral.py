@@ -227,6 +227,9 @@ def test_dual_bound_range(ex_spectral):
     assert lo_hi == pytest.approx(4.0)  # 1/sigma_{m-n+1}^2 with m-n+1 = 2
     assert up_lo == pytest.approx(4.0)
     assert up_hi == math.inf
+    # a square frame has only the canonical dual: both ranges are points
+    square = Frame(np.diag([2.0, 1.0]))
+    assert dual_bound_range(square) == ((0.25, 0.25), (1.0, 1.0))
 
 
 def test_lambda_region(ex_spectral):
