@@ -3,7 +3,8 @@
 Matrices travel as MatrixFiles (see matrixio), results as JSON reports with
 stable key order.  Exit codes: 0 ok, 2 parse/rank failure, 3 subset budget,
 4 no tight dual, 5 bound infeasible, 6 bad spectrum target, malformed
-number list, missing generator option or bad surface grid, 7 invalid or
+number list, missing generator option, bad surface grid, or a shape,
+node, window or size a generator or surface cannot take, 7 invalid or
 malformed tetris spectrum, 8 enumeration truncated at --limit (the report
 is still printed), 9 a numerical kernel failed or a built dual failed its
 duality check, 10 an output file could not be written.  An input file that
@@ -23,20 +24,24 @@ import numpy as np
 
 from . import __version__, experiments, numerics, sparsity, spectral, tetris
 from .errors import (
+    BadShape,
     BadTarget,
     BelowCanonical,
     BoundInfeasible,
     DualFramesError,
+    DuplicateNode,
     InvalidSpectrum,
     NonConvergence,
     NoTightDual,
     ParseError,
     RankDeficient,
+    ShapeMismatch,
     SizeLimit,
     TooManyPicks,
     Truncated,
     UnreadableInput,
     UnwritableOutput,
+    ZeroWindow,
 )
 from .frames import (
     Frame,
@@ -115,14 +120,18 @@ def _float_list(text, error):
         raise error(f"bad number list {text!r}") from exc
 
 
-def _count(text):
-    """argparse type of ``--limit``: anything but an integer >= 0 exits 2."""
-    try:
-        if int(text) >= 0:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+def _at_least(lo):
+    """argparse type of an integer option: anything but an integer >= lo
+    exits 2."""
+    def parse(text):
+        try:
+            if int(text) >= lo:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= {lo}, got {text!r}")
+    return parse
 
 
 def _verified_residual(frame, dual):
@@ -170,10 +179,10 @@ def cmd_analyze(args):
 def cmd_sparsest(args):
     t0 = time.perf_counter()
     frame = _load_frame(args.input, exact=args.exact, tol=args.tol)
-    kwargs = {"tol": args.tol}
-    if args.budget:
-        kwargs["budget"] = args.budget
-    psi, cert = sparsity.sparsest_dual(frame, **kwargs)
+    budget = sparsity.DEFAULT_BUDGET if args.budget is None else args.budget
+    psi, cert = sparsity.sparsest_dual(frame, budget)
+    if not frame.is_exact:  # exact duals are exact by construction
+        _verified_residual(frame, psi)
     zero_cols = [
         c for c in range(frame.m) if not np.any(psi.matrix[:, c] != 0)
     ]
@@ -191,9 +200,7 @@ def cmd_sparsest(args):
     code = EXIT_OK
     if args.all:
         try:
-            duals = sparsity.enumerate_sparsest_duals(
-                frame, limit=args.limit, **kwargs
-            )
+            duals = sparsity.enumerate_sparsest_duals(frame, args.limit, budget)
         except Truncated as exc:
             print(f"warning: {exc}", file=sys.stderr)
             duals = exc.partial
@@ -206,7 +213,7 @@ def cmd_sparsest(args):
         write_matrix(psi.matrix, args.output)
     report = _report(
         "sparsest", args, results,
-        tolerances={"rank": args.tol or "auto"},
+        tolerances={"rank": frame.tol},
         tolerance_dependent=cert.tolerance_dependent,
         t0=t0, input_path=args.input,
     )
@@ -435,13 +442,16 @@ def build_parser():
     sp = sub.add_parser("sparsest", help="sparsest dual with certificate")
     sp.add_argument("input")
     sp.add_argument("--all", action="store_true", help="enumerate all sparsest duals")
-    sp.add_argument("--limit", type=_count,
+    sp.add_argument("--limit", type=_at_least(0),
                     help="cap (>= 0) for --all enumeration")
     sp.add_argument("--exact", action="store_true", default=None,
                     help="require the exact rational path (default: decided by the file)")
-    sp.add_argument("--tol", type=float, help="rank tolerance on the floating path")
-    sp.add_argument("--budget", type=int,
-                    help="subset search budget in (row, subset) pairs examined")
+    sp.add_argument("--tol", type=float,
+                    help="rank threshold of every floating-path decision "
+                         "(default 1e-10 * ||Phi||_F)")
+    sp.add_argument("--budget", type=_at_least(1),
+                    help="subset search budget (>= 1) in (row, subset) pairs "
+                         "examined (default 20,000,000)")
     common(sp)
     sp.set_defaults(func=cmd_sparsest)
 
@@ -503,7 +513,8 @@ _EXIT_CODES = [
     ((SizeLimit,), EXIT_SIZE_LIMIT),
     ((NoTightDual,), EXIT_NO_TIGHT_DUAL),
     ((BoundInfeasible, BelowCanonical, TooManyPicks), EXIT_BOUND_INFEASIBLE),
-    ((BadTarget,), EXIT_BAD_TARGET),
+    ((BadTarget, BadShape, DuplicateNode, ZeroWindow, ShapeMismatch),
+     EXIT_BAD_TARGET),
     ((InvalidSpectrum,), EXIT_INVALID_SPECTRUM),
     ((NonConvergence,), EXIT_NON_CONVERGENCE),
     ((UnwritableOutput,), EXIT_UNWRITABLE_OUTPUT),

@@ -19,6 +19,7 @@ from .errors import (
     BadShape,
     BadTarget,
     DuplicateNode,
+    RankDeficient,
     ScheduleExhausted,
     ZeroWindow,
 )
@@ -84,12 +85,14 @@ def _trial_rng(seed, index):
 
 
 def sample_gaussian_frame(n, m, rng):
-    """Full-rank Gaussian sample; complex draws use independent normals on
-    the real and imaginary parts."""
+    """Gaussian sample that is a frame, redrawn until it is one."""
+    if not 0 < n <= m:
+        raise BadShape(f"need 0 < n <= m, got n={n}, m={m}")
     while True:
-        mat = rng.standard_normal((n, m))
-        if np.linalg.matrix_rank(mat) == n:
-            return Frame(mat)
+        try:
+            return Frame(rng.standard_normal((n, m)))
+        except RankDeficient:
+            continue
 
 
 @dataclass
@@ -112,8 +115,9 @@ def genericity_trial(n, m, trials, seed, dist="gaussian", budget=None):
     Per trial: sample a frame, test membership in P (all row-deleted
     submatrices in general position) and whether the exact sparsity sum
     reaches n^2.  Verdicts on the floating path are tolerance-dependent;
-    any failed trial is re-checked at 10x tighter and looser rank
-    thresholds and flagged as a boundary case if the verdicts differ.
+    any failed trial is re-checked as a frame at 10x tighter and looser
+    rank thresholds than its own and flagged as a boundary case if the
+    verdicts differ; a threshold at which the matrix is no frame differs.
     Each sparsity sum is one scan that decides every row, so all rows of a
     frame share one ``budget`` per tolerance.
     """
@@ -131,15 +135,21 @@ def genericity_trial(n, m, trials, seed, dist="gaussian", budget=None):
             report.count_sparsity_n2 += 1
         else:
             report.failures.append(frame.matrix.tolist())
-            base = np.linalg.svd(frame.matrix, compute_uv=False)[0]
-            auto = max(n, m) * np.finfo(float).eps * base
-            verdicts = {
-                sparsity.generalized_spark_sum(frame, tol=auto * f, **kwargs)
-                for f in (0.1, 10.0)
-            }
+            verdicts = {_spark_sum_at(frame, f * frame.tol, kwargs)
+                        for f in (0.1, 10.0)}
             if len(verdicts | {total}) > 1:
                 report.boundary.append(t)
     return report
+
+
+def _spark_sum_at(frame, tol, kwargs):
+    """sum_j spark_j of the frame's matrix at rank threshold ``tol``, or None
+    where the matrix is no frame at that threshold."""
+    try:
+        refit = Frame(frame.matrix, tol=tol)
+    except RankDeficient:
+        return None
+    return sparsity.generalized_spark_sum(refit, **kwargs)
 
 
 def default_generic_frame(n, m):
@@ -168,10 +178,10 @@ def nudge_to_generic(frame0, frame1=None, t_schedule=None, budget=None):
     last = None
     for t in sorted(t_schedule, key=abs):
         last = t
-        mat = t * frame1.as_float() + (1 - t) * frame0.as_float()
-        if np.linalg.matrix_rank(mat) < frame0.n:
+        try:
+            cand = Frame(t * frame1.as_float() + (1 - t) * frame0.as_float())
+        except RankDeficient:
             continue
-        cand = Frame(mat)
         if sparsity.in_P(cand, **kwargs):
             return t, cand
     raise ScheduleExhausted("no scheduled step landed in P", last_t=last)

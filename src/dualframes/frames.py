@@ -24,6 +24,7 @@ from .numerics import (
     field_of,
     frobenius,
     is_rational,
+    rank_threshold,
     rank_tol,
     solve_exact,
     to_float,
@@ -40,7 +41,10 @@ class Frame:
     """A full-rank n-by-m matrix over R, C, or Q (exact).
 
     Construction rejects rank-deficient input: every statement downstream
-    assumes the frame property.
+    assumes the frame property.  On the floating path ``tol`` is the one
+    rank threshold of every decision on the frame and its column subsets:
+    the given ``tol``, else ``rank_threshold`` of the whole matrix
+    (1e-10 ||Phi||_F).  Exact frames decide exactly, and ``tol`` is None.
     """
 
     def __init__(self, entries, tol=None):
@@ -50,7 +54,8 @@ class Frame:
         n, m = a.shape
         if m < n:
             raise RankDeficient(f"need at least n={n} columns, got {m}")
-        if rank_tol(a, tol) < n:
+        self.tol = rank_threshold(a) if tol is None or is_rational(a) else tol
+        if rank_tol(a, self.tol) < n:
             raise RankDeficient("matrix does not have full row rank")
         self.matrix = a
         self.matrix.setflags(write=False)

@@ -10,6 +10,11 @@ Every exact rank, span, nullspace and solve runs on one integer kernel:
 integer rows fraction-free (Bareiss), and ``_back_substitute`` solves the
 echelon form in integers.  Only the final quotients become Fractions.
 
+Float rank decisions count the singular values above a threshold.  A
+matrix's default threshold is ``rank_threshold``: RANK_RTOL times its
+Frobenius norm, which costs O(rs) and no SVD.  A Frame fixes one threshold
+from its own matrix and passes it to every decision on its column subsets.
+
 The SVD is thin: its right factor is the m-by-min(n, m) V1, and the
 orthonormal completion V2 of V1 is applied through Householder reflectors
 rather than formed, so no m-by-m matrix is ever built.
@@ -27,6 +32,8 @@ import numpy as np
 from .errors import FieldMismatch, NonConvergence, ShapeMismatch
 
 DEFAULT_TOL = 1e-10
+# default rank threshold relative to the Frobenius norm
+RANK_RTOL = 1e-10
 
 FIELD_RATIONAL = "rational"
 FIELD_REAL = "real"
@@ -211,12 +218,22 @@ def rank_exact(a):
     return len(_echelon(integer_rows(a), a.shape[1]))
 
 
+def rank_threshold(a):
+    """Default rank threshold RANK_RTOL * ||a||_F of a float matrix, or of
+    each matrix of a ``(k, r, s)`` stack; None on rational matrices, whose
+    ranks are exact."""
+    if is_rational(a):
+        return None
+    return RANK_RTOL * np.linalg.norm(a, axis=(-2, -1))
+
+
 def rank_tol(a, tol=None):
-    """Tolerance-based rank; exact on rational matrices (tol ignored).
+    """Number of singular values above ``tol``; exact on rational matrices
+    (tol ignored).
 
     ``a`` may be one matrix or a ``(k, r, s)`` stack, whose ranks come back
-    as an integer array of length k.  Auto threshold, per matrix:
-    max(r, s) * machine_eps * sigma_max.
+    as an integer array of length k.  ``tol=None`` takes each matrix's
+    ``rank_threshold``.
     """
     a = np.asarray(a)
     if a.ndim == 1:
@@ -232,7 +249,7 @@ def rank_tol(a, tol=None):
         return rank_exact(a)
     s = np.linalg.svd(a, compute_uv=False)
     if tol is None:
-        tol = max(a.shape[-2:]) * np.finfo(float).eps * s[..., :1]
+        tol = np.expand_dims(rank_threshold(a), -1)
     ranks = np.sum(s > tol, axis=-1)
     return int(ranks) if a.ndim == 2 else ranks
 
@@ -269,16 +286,17 @@ def nullspace_exact(a):
 
 
 def nullspace_basis(a, tol=None):
-    """Basis of ker(a) as matrix columns; exact on rational inputs."""
+    """Basis of ker(a) as matrix columns: the right singular vectors past
+    the singular values above ``tol`` (default ``rank_threshold(a)``);
+    exact on rational inputs."""
     a = np.asarray(a)
     if a.ndim == 1:
         a = a.reshape(1, -1)
     if is_rational(a):
         return nullspace_exact(a)
-    n_rows, n_cols = a.shape
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
     if tol is None:
-        tol = max(a.shape) * np.finfo(float).eps * (s[0] if len(s) else 0.0)
+        tol = rank_threshold(a)
     rank = int(np.sum(s > tol))
     return vh[rank:].conj().T
 

@@ -1,8 +1,11 @@
 """Spark machinery and the exact sparsest-dual solver with certificates.
 
 Spark decisions are discrete, so the exact rational backend is used whenever
-the frame carries rational entries; the floating path uses tolerance-based
-rank and marks its results tolerance-dependent.  Every subset search runs
+the frame carries rational entries.  The floating path decides every rank,
+span and null space of a frame's column subsets at the frame's one threshold
+``Frame.tol`` and marks its results tolerance-dependent; ``spark`` and
+``is_general_position``, which take a bare matrix, use that matrix's
+``rank_threshold``.  Every subset search runs
 through one scanner that walks the column subsets in increasing cardinality
 and lexicographic order within a cardinality, which makes every reported
 support and every enumerated dual deterministic.
@@ -17,13 +20,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import IndexOutOfRange, SizeLimit, SingularSubset, Truncated
+from .errors import (
+    IndexOutOfRange,
+    RankDeficient,
+    SingularSubset,
+    SizeLimit,
+    Truncated,
+)
 from .frames import Frame, row_delete
 from .numerics import (
     bareiss_span,
     integer_rows,
     is_rational,
     nullspace_basis,
+    rank_threshold,
     rank_tol,
     solve_exact,
     to_float,
@@ -91,7 +101,7 @@ class _Scanner:
     For each subset S it decides rank(A_S) and, for every requested row j,
     rank(A^{(j)}_S) of A_S with row j deleted.  The float path stacks the
     subsets of a chunk into one ``rank_tol`` call for the A_S and one for
-    the A^{(j)}_S, each matrix judged by its own threshold.  The exact path
+    the A^{(j)}_S, all judged by the one threshold ``tol``.  The exact path
     clears denominators once, then one fraction-free elimination of
     [A_S | I_n] per subset gives both: rank(A^{(j)}_S) = rank(A_S) - 1 when
     e_j lies in span(A_S), and rank(A_S) otherwise.
@@ -142,13 +152,14 @@ class _Scanner:
         return full, deleted
 
 
-def spark(a, budget=DEFAULT_BUDGET, tol=None):
+def spark(a, budget=DEFAULT_BUDGET):
     """Smallest number of linearly dependent columns; m+1 if none exist."""
     a = np.asarray(a)
     if a.ndim == 1:
         a = a.reshape(1, -1)
     n, m = a.shape
     exact = is_rational(a)
+    tol = rank_threshold(a)
     r = rank_tol(a, tol)
     if r == m:
         # all columns independent; n+1 convention for invertible square
@@ -164,7 +175,7 @@ def spark(a, budget=DEFAULT_BUDGET, tol=None):
     raise AssertionError("unreachable: rank-deficient matrix has a dependent set")
 
 
-def _row_supports(frame, rows, budget, tol):
+def _row_supports(frame, rows, budget):
     """spark_j, all minimal supports and spark(Phi^{(j)}) of each row j in
     ``rows``, from one pass over the subsets.
 
@@ -173,8 +184,10 @@ def _row_supports(frame, rows, budget, tol):
     spark(Phi^{(j)}), the smallest |S| with Phi^{(j)}_S dependent, is never
     larger, so the pass meets it while row j is still open.
     Returns {j: (spark_j, supports in lexicographic order, spark(Phi^{(j)}))}.
+    A row left without a support (Phi_S dependent at ``frame.tol`` whenever
+    e_j is in its span) raises RankDeficient.
     """
-    scan = _Scanner(frame.matrix, budget, tol)
+    scan = _Scanner(frame.matrix, budget, frame.tol)
     found, lower = {}, {}
     open_rows = list(rows)
     for s in range(1, frame.n + 1):
@@ -189,30 +202,32 @@ def _row_supports(frame, rows, budget, tol):
         open_rows = [j for j in open_rows if j not in found]
         if not open_rows:
             return found
-    raise AssertionError("no admissible support found; input is not a frame")
+    raise RankDeficient(
+        f"rows {open_rows} have no support at rank threshold {frame.tol:.3e}"
+    )
 
 
-def _certify(frame, j, cols, tol):
+def _certify(frame, j, cols):
     """Dependency vector lambda of Phi^{(j)}_S and the scale
     a = sum_k lambda_k phi_{j, c_k} for a support S of row j."""
     block = row_delete(frame, j)[:, cols]
-    lam = nullspace_basis(block, tol)[:, 0]
+    lam = nullspace_basis(block, frame.tol)[:, 0]
     a = sum(lam[k] * frame.matrix[j, c] for k, c in enumerate(cols))
     return list(lam), a
 
 
-def generalized_spark(frame, j, budget=DEFAULT_BUDGET, tol=None):
+def generalized_spark(frame, j, budget=DEFAULT_BUDGET):
     """spark_j: smallest dependent set of Phi^{(j)} whose columns stay
     independent in Phi."""
     if not 0 <= j < frame.n:
         raise IndexOutOfRange(f"row index {j} outside [0, {frame.n})")
-    return _row_supports(frame, [j], _Budget(budget), tol)[j][0]
+    return _row_supports(frame, [j], _Budget(budget))[j][0]
 
 
-def generalized_spark_sum(frame, budget=DEFAULT_BUDGET, tol=None):
+def generalized_spark_sum(frame, budget=DEFAULT_BUDGET):
     """sum_j spark_j, the sparsity of a sparsest dual, from one pass over the
     subsets that decides every row; all rows share one budget."""
-    return sparsity_bounds(frame, budget, tol)[1]
+    return sparsity_bounds(frame, budget)[1]
 
 
 def _row_vector(frame, cols, lam, a):
@@ -229,18 +244,18 @@ def _row_vector(frame, cols, lam, a):
     return row
 
 
-def sparsest_dual(frame, budget=DEFAULT_BUDGET, tol=None):
+def sparsest_dual(frame, budget=DEFAULT_BUDGET):
     """One sparsest dual with a row-by-row certificate.
 
     Tie-breaking: the lexicographically smallest minimal support per row.
     """
-    supports = _row_supports(frame, range(frame.n), _Budget(budget), tol)
+    supports = _row_supports(frame, range(frame.n), _Budget(budget))
     cert = SparsityCertificate(tolerance_dependent=not frame.is_exact)
     rows = []
     for j in range(frame.n):
         s, cands, _ = supports[j]
         cols = cands[0]
-        lam, a = _certify(frame, j, cols, tol)
+        lam, a = _certify(frame, j, cols)
         rows.append(_row_vector(frame, cols, lam, a))
         cert.rows.append(
             RowCertificate(row=j, spark_j=s, support=cols, coeffs=lam, scale=a)
@@ -249,13 +264,13 @@ def sparsest_dual(frame, budget=DEFAULT_BUDGET, tol=None):
     return psi, cert
 
 
-def enumerate_sparsest_duals(frame, limit=None, budget=DEFAULT_BUDGET, tol=None):
+def enumerate_sparsest_duals(frame, limit=None, budget=DEFAULT_BUDGET):
     """All sparsest duals in flattened entry order: the product of the sorted
     per-row minimal-support solutions (distinct supports give distinct rows),
     taken lazily; past ``limit`` duals, Truncated carries the first ones."""
-    supports = _row_supports(frame, range(frame.n), _Budget(budget), tol)
+    supports = _row_supports(frame, range(frame.n), _Budget(budget))
     per_row = [
-        sorted((_row_vector(frame, c, *_certify(frame, j, c, tol))
+        sorted((_row_vector(frame, c, *_certify(frame, j, c))
                 for c in supports[j][1]), key=tuple)
         for j in range(frame.n)
     ]
@@ -266,19 +281,19 @@ def enumerate_sparsest_duals(frame, limit=None, budget=DEFAULT_BUDGET, tol=None)
     return duals
 
 
-def sparsity_bounds(frame, budget=DEFAULT_BUDGET, tol=None):
+def sparsity_bounds(frame, budget=DEFAULT_BUDGET):
     """(lower, exact, upper) = (sum spark(Phi^{(j)}), sum spark_j, n^2).
 
     Both sums come from one scan in which all rows share one budget:
     spark(Phi^{(j)}) is the first cardinality at which row j meets a
     dependent Phi^{(j)}_S, which the scan reaches no later than spark_j.
     """
-    rows = _row_supports(frame, range(frame.n), _Budget(budget), tol).values()
+    rows = _row_supports(frame, range(frame.n), _Budget(budget)).values()
     lower = sum(low for _, _, low in rows)
     return lower, sum(s for s, _, _ in rows), frame.n ** 2
 
 
-def biorthogonal_dual(frame, cols=None, tol=None):
+def biorthogonal_dual(frame, cols=None):
     """Dual supported on n columns: inverse-adjoint of Phi_J on J, zero off J.
 
     ``cols=None`` selects the lexicographically first independent n-subset.
@@ -288,7 +303,7 @@ def biorthogonal_dual(frame, cols=None, tol=None):
         chosen = []
         for c in range(m):
             trial = chosen + [c]
-            if rank_tol(frame.matrix[:, trial], tol) == len(trial):
+            if rank_tol(frame.matrix[:, trial], frame.tol) == len(trial):
                 chosen.append(c)
             if len(chosen) == n:
                 break
@@ -304,7 +319,7 @@ def biorthogonal_dual(frame, cols=None, tol=None):
         psi_block = np.conjugate(inv).T
         psi = np.array([[Fraction(0)] * m for _ in range(n)], dtype=object)
     else:
-        if rank_tol(block, tol) < n:
+        if rank_tol(block, frame.tol) < n:
             raise SingularSubset(f"columns {cols} are not independent")
         inv = np.linalg.inv(to_float(block))
         psi_block = inv.conj().T
@@ -314,7 +329,7 @@ def biorthogonal_dual(frame, cols=None, tol=None):
     return Frame(psi)
 
 
-def is_general_position(a, budget=DEFAULT_BUDGET, tol=None):
+def is_general_position(a, budget=DEFAULT_BUDGET):
     """True iff every maximal square submatrix has full rank."""
     a = np.asarray(a)
     if a.ndim == 1:
@@ -322,15 +337,15 @@ def is_general_position(a, budget=DEFAULT_BUDGET, tol=None):
     n, m = a.shape
     if n > m:
         raise ValueError("general position is defined for rows <= cols")
-    scan = _Scanner(a, _Budget(budget), tol)
+    scan = _Scanner(a, _Budget(budget), rank_threshold(a))
     return all(np.all(full == n) for _, full, _ in scan.chunks(n))
 
 
-def in_P(frame, budget=DEFAULT_BUDGET, tol=None):
+def in_P(frame, budget=DEFAULT_BUDGET):
     """True iff spark(Phi^{(j)}) = n for all j, i.e. every row-deleted
     submatrix is in general position; implies sparsest-dual sparsity n^2.
     One pass over the (n-1)-subsets decides all rows."""
-    scan = _Scanner(frame.matrix, _Budget(budget), tol)
+    scan = _Scanner(frame.matrix, _Budget(budget), frame.tol)
     rows = range(frame.n)
     return all(
         np.all(deleted == frame.n - 1)

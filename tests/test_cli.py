@@ -8,10 +8,14 @@ import pytest
 
 from dualframes import cli
 from dualframes.cli import main
-from dualframes.matrixio import read_matrix
+from dualframes.frames import is_dual
+from dualframes.matrixio import read_matrix, write_matrix
+
+from conftest import NEAR_DEPENDENT_FRAMES
 
 SPARSE_CSV = "1,-1,0\n1,2,-1\n"
 SPECTRAL_CSV = "# field=real\n1.8,-0.24,-0.32\n2.4,0.18,0.24\n"
+INT_3X7_CSV = "1,2,3,4,5,6,7\n2,-1,5,3,-4,1,6\n3,1,-2,7,2,-5,4\n"
 
 
 @pytest.fixture
@@ -106,9 +110,40 @@ class TestSparsest:
         assert all("." not in x for x in entries)
         assert rep["results"]["dual"] == [["2/3", "-1/3", "0"], ["0", "0", "-1"]]
 
+    @pytest.mark.parametrize("budget", ["0", "-5", "abc"])
+    def test_budget_must_be_positive(self, capsys, sparse_file, budget):
+        with pytest.raises(SystemExit) as exc:
+            main(["sparsest", sparse_file, "--budget", budget])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--budget" in captured.err
+
+    def test_budget_one_is_passed(self, capsys, tmp_path):
+        path = tmp_path / "int37.csv"
+        path.write_text(INT_3X7_CSV)
+        assert main(["sparsest", str(path), "--budget", "1"]) == 3
+
+    def test_near_duplicate_columns(self, capsys, tmp_path):
+        # columns 0 and 1 are 4.3e-14 apart; the reported dual must pass
+        frame = np.array(NEAR_DEPENDENT_FRAMES[19])
+        path, out = str(tmp_path / "f19.csv"), str(tmp_path / "dual.csv")
+        write_matrix(frame, path)
+        code, rep = run_json(capsys, ["sparsest", path, "-o", out])
+        assert code == 0
+        assert is_dual(frame, read_matrix(out), 1e-9)[0]
+        assert rep["tolerances"]["rank"] == pytest.approx(
+            1e-10 * np.linalg.norm(frame))
+
+    def test_exact_dual_skips_check(self, capsys, monkeypatch, sparse_file):
+        monkeypatch.setattr(cli, "is_dual", lambda phi, psi, tol: (False, 0.5))
+        code, rep = run_json(capsys, ["sparsest", sparse_file])
+        assert code == 0
+        assert rep["tolerances"]["rank"] is None
+
     def test_truncated_enumeration(self, capsys, tmp_path):
         path = tmp_path / "int37.csv"
-        path.write_text("1,2,3,4,5,6,7\n2,-1,5,3,-4,1,6\n3,1,-2,7,2,-5,4\n")
+        path.write_text(INT_3X7_CSV)
         code, rep = run_json(
             capsys, ["sparsest", str(path), "--all", "--limit", "5"]
         )
@@ -164,7 +199,8 @@ class TestSpectralCommands:
             rep["results"]["measured_spectrum"], [2.0, 1.0], atol=1e-8
         )
 
-    @pytest.mark.parametrize("argv", [["tight"], ["prescribe", "--picks", "1=1"]])
+    @pytest.mark.parametrize(
+        "argv", [["tight"], ["prescribe", "--picks", "1=1"], ["sparsest"]])
     def test_unverified_dual_exit(self, capsys, monkeypatch, spectral_file, argv):
         monkeypatch.setattr(cli, "is_dual", lambda phi, psi, tol: (False, 0.5))
         assert main([argv[0], spectral_file, *argv[1:]]) == 9
@@ -278,6 +314,22 @@ def test_bad_argument_exit(capsys, monkeypatch, spectral_file, tmp_path,
     assert main([spectral_file if a == "FRAME" else a for a in argv]) == 6
     assert named in capsys.readouterr().err
     assert list(tmp_path.glob("*.csv")) == [tmp_path / "spectral.csv"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["surface", "FRAME35"], "2x3"),
+    (["generate", "dft", "-n", "5", "-m", "3"], "m >= n"),
+    (["generate", "vandermonde", "--xs", "1,1", "--ys", "1"], "distinct"),
+    (["generate", "gabor", "-n", "0"], "nonzero"),
+    (["random", "-n", "0", "-m", "3"], "0 < n <= m"),
+])
+def test_unusable_shape_exit(capsys, monkeypatch, tmp_path, argv, named):
+    monkeypatch.chdir(tmp_path)
+    frame35 = tmp_path / "f35.csv"
+    frame35.write_text("# field=real\n1,0,0,1,2\n0,1,0,1,3\n0,0,1,1,4\n")
+    assert main([str(frame35) if a == "FRAME35" else a for a in argv]) == 6
+    assert named in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == [frame35]
 
 
 class TestIOErrors:

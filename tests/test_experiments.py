@@ -66,6 +66,12 @@ class TestGabor:
             gabor_frame([0, 0, 0])
 
 
+def test_gaussian_sample_needs_m_at_least_n():
+    # no 3x2 matrix is a frame; the sampler must not redraw forever
+    with pytest.raises(BadShape):
+        sample_gaussian_frame(3, 2, np.random.default_rng(0))
+
+
 class TestGenericity:
     def test_reproducible(self):
         a = genericity_trial(2, 3, trials=10, seed=42)

@@ -65,11 +65,12 @@ class TestRank:
         assert nm.rank_tol(np.zeros((3, 3))) == 0
 
     def test_explicit_tolerance_collapses_near_dependency(self):
-        # second row differs from 2x the first by 1e-14: above the auto
-        # threshold, below an explicit 1e-12
-        a = np.array([[1.0, 2.0], [2.0, 4.0 + 1e-14]])
+        # second row differs from 2x the first by 1e-8, so sigma_min is
+        # about 2e-9: above the default threshold 1e-10 ||a||_F (5e-10),
+        # below an explicit 1e-8
+        a = np.array([[1.0, 2.0], [2.0, 4.0 + 1e-8]])
         assert nm.rank_tol(a) == 2
-        assert nm.rank_tol(a, tol=1e-12) == 1
+        assert nm.rank_tol(a, tol=1e-8) == 1
 
     def test_exact_vs_float_on_random_integer_matrices(self):
         rng = np.random.default_rng(7)

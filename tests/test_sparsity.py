@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dualframes.errors import SingularSubset, SizeLimit, Truncated
+from dualframes.errors import RankDeficient, SingularSubset, SizeLimit, Truncated
 from dualframes.frames import Frame, is_dual, row_delete
 from dualframes.numerics import nullspace_basis, rank_tol
 from dualframes.sparsity import (
@@ -25,7 +25,13 @@ from dualframes.sparsity import (
     sparsity_bounds,
 )
 
-from conftest import frac_matrix, random_integer_frame, random_rational_matrix
+from conftest import (
+    NEAR_DEPENDENT_FRAMES,
+    NO_FRAME,
+    frac_matrix,
+    random_integer_frame,
+    random_rational_matrix,
+)
 
 # the three sparsest duals of [[1,-1,0],[1,2,-1]], in enumeration order
 PSI_1 = [[0, -1, -2], [0, 0, -1]]
@@ -157,15 +163,15 @@ class TestBudget:
 
 def _reference_row(frame, j):
     """The per-row definition, subset by subset: S is a minimal support of
-    row j when Phi^{(j)}_S is dependent and Phi_S independent; lambda is
-    the null vector of Phi^{(j)}_S."""
-    phi, sub = frame.matrix, row_delete(frame, j)
+    row j when Phi^{(j)}_S is dependent and Phi_S independent, both decided
+    at the frame's threshold; lambda is the null vector of Phi^{(j)}_S."""
+    phi, sub, tol = frame.matrix, row_delete(frame, j), frame.tol
     for s in range(1, frame.n + 1):
         found = []
         for cols in itertools.combinations(range(frame.m), s):
             block = sub[:, cols]
-            if rank_tol(block) < s and rank_tol(phi[:, cols]) == s:
-                lam = nullspace_basis(block)[:, 0]
+            if rank_tol(block, tol) < s and rank_tol(phi[:, cols], tol) == s:
+                lam = nullspace_basis(block, tol)[:, 0]
                 a = sum(lam[k] * phi[j, c] for k, c in enumerate(cols))
                 found.append((cols, list(lam), a))
         if found:
@@ -176,8 +182,9 @@ def _reference_row(frame, j):
 def _reference_frames(count=240):
     """Seeded small frames: exact integer and p/q, float Gaussian and
     integer-valued float, complex; each with a chance of a zero column and
-    of a repeated column.  Half the float repeats are off by a few machine
-    epsilons, so that rank decisions fall near the threshold."""
+    of a repeated column.  Half the float repeats are off by 1e-17 to 1e-13,
+    far below a frame's threshold, so that the scan meets near-duplicate
+    columns."""
     rng = np.random.default_rng(2024)
     made = 0
     while made < count:
@@ -205,10 +212,12 @@ def _reference_frames(count=240):
                 mat[:, b] += 10 ** rng.uniform(-17, -13) * rng.standard_normal(n)
         if kind <= 1:
             mat = np.array([[Fraction(x) for x in row] for row in mat], dtype=object)
-        if rank_tol(mat) < n:
+        try:
+            frame = Frame(mat)
+        except RankDeficient:
             continue
         made += 1
-        yield Frame(mat)
+        yield frame
 
 
 def test_scanner_matches_per_row_definition():
@@ -216,7 +225,7 @@ def test_scanner_matches_per_row_definition():
     assert sum(f.is_exact for f in frames) >= 80
     rows = 0
     for f in frames:
-        supports = _row_supports(f, range(f.n), _Budget(DEFAULT_BUDGET), None)
+        supports = _row_supports(f, range(f.n), _Budget(DEFAULT_BUDGET))
         _, cert = sparsest_dual(f)
         for j in range(f.n):
             s, ref = _reference_row(f, j)
@@ -226,7 +235,7 @@ def test_scanner_matches_per_row_definition():
             assert generalized_spark(f, j) == s
             assert supports[j][1] == [cols for cols, _, _ in ref]
             for cols, lam, a in ref:
-                got_lam, got_a = _certify(f, j, cols, None)
+                got_lam, got_a = _certify(f, j, cols)
                 assert repr(got_lam) == repr(lam)
                 assert repr(got_a) == repr(a)
             cols, lam, a = ref[0]
@@ -234,6 +243,30 @@ def test_scanner_matches_per_row_definition():
             assert repr(cert.rows[j].coeffs) == repr(lam)
             assert repr(cert.rows[j].scale) == repr(a)
     assert rows >= 400
+
+
+@pytest.mark.parametrize("index", sorted(NEAR_DEPENDENT_FRAMES))
+def test_near_dependent_columns_give_duals_or_no_frame(index):
+    # the sparsest dual and every enumerated one pass at 1e-9, or the
+    # matrix is no frame under the frame's threshold
+    mat = np.array(NEAR_DEPENDENT_FRAMES[index])
+    if index in NO_FRAME:
+        with pytest.raises(RankDeficient):
+            Frame(mat)
+        return
+    f = Frame(mat)
+    psi, _ = sparsest_dual(f)
+    for d in [psi, *enumerate_sparsest_duals(f)]:
+        assert is_dual(f, d, 1e-9)[0]
+
+
+def test_row_without_support_is_rank_deficient():
+    # sigma_2 = 1.75e-9 is above tol = 1e-9, yet every column pair is
+    # dependent at that threshold, so row 1 has no support
+    a = np.vstack([np.ones(100), 3e-10 * np.linspace(-1, 1, 100)])
+    f = Frame(a, tol=1e-9)
+    with pytest.raises(RankDeficient, match=r"rows \[1\]"):
+        sparsest_dual(f)
 
 
 class TestEnumerate:
@@ -285,20 +318,21 @@ def test_sparsity_bounds(ex_sparse):
 
 
 def test_spark_sum_matches_per_row_sums():
-    # one shared scan per tolerance gives the sum of the per-row searches
+    # one shared scan per threshold gives the sum of the per-row searches
     frames = list(_reference_frames(60))
     assert sum(f.is_exact for f in frames) >= 20
     for f in frames:
-        tols = [None]
+        at_tols = [f]
         if not f.is_exact:
-            sigma_max = np.linalg.svd(f.matrix, compute_uv=False)[0]
-            auto = max(f.n, f.m) * np.finfo(float).eps * sigma_max
-            # a tolerance at which the matrix is no frame has no sum to compare
-            tols += [t for t in (0.1 * auto, 10.0 * auto)
-                     if rank_tol(f.matrix, t) == f.n]
-        for tol in tols:
-            per_row = sum(generalized_spark(f, j, tol=tol) for j in range(f.n))
-            assert generalized_spark_sum(f, tol=tol) == per_row
+            for factor in (0.1, 10.0):
+                # a threshold at which the matrix is no frame has no sum
+                try:
+                    at_tols.append(Frame(f.matrix, tol=factor * f.tol))
+                except RankDeficient:
+                    pass
+        for g in at_tols:
+            per_row = sum(generalized_spark(g, j) for j in range(g.n))
+            assert generalized_spark_sum(g) == per_row
         assert sparsity_bounds(f)[:2] == (
             sum(spark(row_delete(f, j)).spark for j in range(f.n)),
             sum(generalized_spark(f, j) for j in range(f.n)),
