@@ -6,9 +6,9 @@ stable key order.  Exit codes: 0 ok, 2 parse/rank failure, 3 subset budget,
 number list, missing generator option, bad surface grid, or a shape,
 node, window or size a generator or surface cannot take, 7 invalid or
 malformed tetris spectrum, 8 enumeration truncated at --limit (the report
-is still printed), 9 a numerical kernel failed or a built dual failed its
-duality check, 10 an output file could not be written.  An input file that
-cannot be read exits 2.
+is still printed), 9 a numerical kernel failed or a built dual or an
+enumerated dual row failed its duality check, 10 an output file could not
+be written.  An input file that cannot be read exits 2.
 Row/pick indices on the command line are 1-based.
 """
 
@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
+import math
 import sys
 import time
 
@@ -44,6 +46,7 @@ from .errors import (
     ZeroWindow,
 )
 from .frames import (
+    DUAL_CHECK_TOL,
     Frame,
     canonical_dual,
     dual_set_dimension,
@@ -64,9 +67,6 @@ EXIT_INVALID_SPECTRUM = 7
 EXIT_TRUNCATED = 8
 EXIT_NON_CONVERGENCE = 9
 EXIT_UNWRITABLE_OUTPUT = 10
-
-# duality residual ||Psi Phi* - I||_F a built dual must meet
-DUAL_CHECK_TOL = 1e-9
 
 
 def _digest(path):
@@ -132,6 +132,19 @@ def _at_least(lo):
         raise argparse.ArgumentTypeError(
             f"expected an integer >= {lo}, got {text!r}")
     return parse
+
+
+def _positive_float(text):
+    """argparse type of a threshold option: anything but a finite number
+    > 0 exits 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isfinite(value) and value > 0:
+        return value
+    raise argparse.ArgumentTypeError(
+        f"expected a finite number > 0, got {text!r}")
 
 
 def _verified_residual(frame, dual):
@@ -205,7 +218,10 @@ def cmd_sparsest(args):
             print(f"warning: {exc}", file=sys.stderr)
             duals = exc.partial
             code = EXIT_TRUNCATED
-        results["all_duals"] = [_matrix_json(d.matrix) for d in duals]
+        # each candidate row is formatted once; a dual picks one per row
+        formatted = [_matrix_json(np.vstack(cands)) for cands in duals.rows]
+        results["all_duals"] = [list(d) for d in itertools.islice(
+            itertools.product(*formatted), len(duals))]
         results["count"] = len(duals)
         if code == EXIT_TRUNCATED:
             results["truncated"] = True
@@ -407,6 +423,8 @@ def cmd_generate(args):
     elif args.generator == "dft":
         frame = experiments.partial_dft_frame(args.n, args.m)
     elif args.generator == "gabor":
+        if args.n < 0:  # -n 0 draws an empty window, which is ZeroWindow
+            raise BadShape(f"gabor window length must be >= 1, got {args.n}")
         rng = np.random.default_rng(args.seed)
         window = rng.standard_normal(args.n) + 1j * rng.standard_normal(args.n)
         frame = experiments.gabor_frame(window)
@@ -446,9 +464,9 @@ def build_parser():
                     help="cap (>= 0) for --all enumeration")
     sp.add_argument("--exact", action="store_true", default=None,
                     help="require the exact rational path (default: decided by the file)")
-    sp.add_argument("--tol", type=float,
-                    help="rank threshold of every floating-path decision "
-                         "(default 1e-10 * ||Phi||_F)")
+    sp.add_argument("--tol", type=_positive_float,
+                    help="rank threshold (finite, > 0) of every floating-path "
+                         "decision (default 1e-10 * ||Phi||_F)")
     sp.add_argument("--budget", type=_at_least(1),
                     help="subset search budget (>= 1) in (row, subset) pairs "
                          "examined (default 20,000,000)")
@@ -483,7 +501,8 @@ def build_parser():
     sp = sub.add_parser("random", help="genericity trials on Gaussian frames")
     sp.add_argument("-n", type=int, required=True)
     sp.add_argument("-m", type=int, required=True)
-    sp.add_argument("--trials", type=int, default=100)
+    sp.add_argument("--trials", type=_at_least(1), default=100,
+                    help="number of trials (>= 1, default 100)")
     sp.add_argument("--seed", type=int, default=0)
     common(sp, output=False)
     sp.set_defaults(func=cmd_random)

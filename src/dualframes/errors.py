@@ -105,9 +105,11 @@ class UnwritableOutput(DualFramesError, OSError):
 
 
 class Truncated(DualFramesError):
-    """Enumeration stopped at the requested limit; partial result attached."""
+    """Enumeration stopped at the requested limit.  ``partial`` holds the
+    first ``limit`` results and ``partial.count`` the full number."""
 
     def __init__(self, limit, partial):
-        super().__init__(f"enumeration truncated at limit {limit}")
+        super().__init__(f"enumeration truncated at limit {limit} "
+                         f"of {partial.count} sparsest duals")
         self.limit = limit
         self.partial = partial

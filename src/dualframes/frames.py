@@ -154,6 +154,10 @@ def duality_residual(phi, psi):
     return float(np.linalg.norm(g - np.eye(n)))
 
 
+# duality residual ||Psi Phi* - I||_F every dual the program reports must meet
+DUAL_CHECK_TOL = 1e-9
+
+
 def is_dual(phi, psi, tol=DEFAULT_TOL):
     """True iff ||Psi Phi* - I||_F <= tol; returns (bool, residual)."""
     resid = duality_residual(phi, psi)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -22,12 +23,13 @@ import numpy as np
 
 from .errors import (
     IndexOutOfRange,
+    NonConvergence,
     RankDeficient,
     SingularSubset,
     SizeLimit,
     Truncated,
 )
-from .frames import Frame, row_delete
+from .frames import DUAL_CHECK_TOL, Frame, row_delete
 from .numerics import (
     bareiss_span,
     integer_rows,
@@ -264,19 +266,74 @@ def sparsest_dual(frame, budget=DEFAULT_BUDGET):
     return psi, cert
 
 
+def _certified_row(frame, j, cols):
+    """Dual row of row j on the support ``cols``, checked once where it is
+    built: psi^j Phi* = e_j exactly on Q, and to within
+    DUAL_CHECK_TOL / sqrt(n) in floating point, so every stack of such rows
+    has ||Psi Phi* - I||_F <= DUAL_CHECK_TOL.  A failing row raises
+    NonConvergence."""
+    row = _row_vector(frame, cols, *_certify(frame, j, cols))
+    err = row @ np.conjugate(frame.matrix).T
+    err[j] -= 1
+    exact = frame.is_exact
+    resid = float(np.linalg.norm(err.astype(float) if exact else err))
+    if any(err != 0) if exact else resid > DUAL_CHECK_TOL / math.sqrt(frame.n):
+        raise NonConvergence(
+            f"dual row {j} on support {list(cols)} fails its duality check: "
+            f"residual {resid:.3e}"
+        )
+    row.setflags(write=False)
+    return row
+
+
+class SparsestDuals(Sequence):
+    """The first ``min(count, limit)`` sparsest duals in flattened entry
+    order, as a read-only sequence of dual Frames.
+
+    ``rows[j]`` holds the certified candidate rows of row j, one per minimal
+    support, in sorted order.  The sparsest duals are their Cartesian
+    product, ``count`` = prod_j len(rows[j]) of them, so a dual is certified
+    because each of its rows is.  Indexing builds one Frame by mixed-radix
+    lookup, and iteration and slicing go through it; nothing else builds a
+    Frame.  ``count`` is that number, not ``Sequence.count``.
+    """
+
+    def __init__(self, rows, limit=None):
+        self.rows = rows
+        self.count = math.prod(map(len, rows))
+        self._len = self.count if limit is None else min(self.count, limit)
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(self._len))]
+        k = range(self._len)[i]
+        picks = []
+        for cands in reversed(self.rows):
+            k, r = divmod(k, len(cands))
+            picks.append(cands[r])
+        return Frame(np.vstack(picks[::-1]))
+
+    def __eq__(self, other):
+        if isinstance(other, (SparsestDuals, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
 def enumerate_sparsest_duals(frame, limit=None, budget=DEFAULT_BUDGET):
-    """All sparsest duals in flattened entry order: the product of the sorted
-    per-row minimal-support solutions (distinct supports give distinct rows),
-    taken lazily; past ``limit`` duals, Truncated carries the first ones."""
+    """All sparsest duals as a SparsestDuals sequence: the product of the
+    sorted, certified per-row minimal-support solutions (distinct supports
+    give distinct rows); past ``limit`` duals, Truncated carries the
+    sequence of the first ones, whose ``count`` is the full number."""
     supports = _row_supports(frame, range(frame.n), _Budget(budget))
-    per_row = [
-        sorted((_row_vector(frame, c, *_certify(frame, j, c))
-                for c in supports[j][1]), key=tuple)
+    duals = SparsestDuals(tuple(
+        tuple(sorted((_certified_row(frame, j, c) for c in supports[j][1]),
+                     key=tuple))
         for j in range(frame.n)
-    ]
-    combos = itertools.product(*per_row)
-    duals = [Frame(np.vstack(rows)) for rows in itertools.islice(combos, limit)]
-    if next(combos, None) is not None:
+    ), limit)
+    if len(duals) < duals.count:
         raise Truncated(limit, duals)
     return duals
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dualframes import sparsity
 from dualframes.frames import Frame
 
 # The 2x3 frame of the sparsest-dual worked example.
@@ -94,3 +95,32 @@ NEAR_DEPENDENT_FRAMES = {
     ],
 }
 NO_FRAME = {9, 227}
+
+
+def seeded_frames(seed=41):
+    """One seeded 2-row frame per field and path: integer and p/q (exact),
+    real and complex (floating), each with more than five sparsest duals
+    at seed 41."""
+    rng = np.random.default_rng(seed)
+    return {
+        "integer": random_integer_frame(rng, 2, 5),
+        "rational": Frame(
+            np.array(random_rational_matrix(rng, 2, 5), dtype=object)
+        ),
+        "real": Frame(rng.standard_normal((2, 5))),
+        "complex": Frame(
+            rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        ),
+    }
+
+
+def rows_off_by(delta):
+    """A stand-in for ``sparsity._row_vector`` whose dual rows are off by
+    ``delta`` in their first support entry."""
+    original = sparsity._row_vector
+
+    def row_vector(frame, cols, lam, a):
+        row = original(frame, cols, lam, a)
+        row[cols[0]] += delta
+        return row
+    return row_vector

@@ -6,16 +6,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualframes import cli
+from dualframes import cli, sparsity
 from dualframes.cli import main
-from dualframes.frames import is_dual
+from dualframes.frames import Frame, is_dual
 from dualframes.matrixio import read_matrix, write_matrix
+from dualframes.sparsity import enumerate_sparsest_duals
 
-from conftest import NEAR_DEPENDENT_FRAMES
+from conftest import NEAR_DEPENDENT_FRAMES, rows_off_by, seeded_frames
 
 SPARSE_CSV = "1,-1,0\n1,2,-1\n"
 SPECTRAL_CSV = "# field=real\n1.8,-0.24,-0.32\n2.4,0.18,0.24\n"
 INT_3X7_CSV = "1,2,3,4,5,6,7\n2,-1,5,3,-4,1,6\n3,1,-2,7,2,-5,4\n"
+# columns 0 and 1 are equal: a threshold <= 0 takes them as independent
+TWIN_2X3_CSV = "# field=real\n1,1,0\n0,0,1\n"
 
 
 @pytest.fixture
@@ -144,10 +147,14 @@ class TestSparsest:
     def test_truncated_enumeration(self, capsys, tmp_path):
         path = tmp_path / "int37.csv"
         path.write_text(INT_3X7_CSV)
-        code, rep = run_json(
-            capsys, ["sparsest", str(path), "--all", "--limit", "5"]
-        )
+        code = main(["sparsest", str(path), "--all", "--limit", "5", "--json"])
+        captured = capsys.readouterr()
+        rep = json.loads(captured.out)
         assert code == 8
+        # 34^3: columns (0, 1, 3) are dependent, so each row has 34 of the
+        # C(7, 3) = 35 supports
+        assert ("enumeration truncated at limit 5 of 39304 sparsest duals"
+                in captured.err)
         r = rep["results"]
         assert r["count"] == 5
         assert r["truncated"] is True
@@ -173,6 +180,48 @@ class TestSparsest:
 
     def test_exact_on_float_input(self, capsys, spectral_file):
         assert main(["sparsest", spectral_file, "--exact"]) == 2
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "0", "abc"])
+    def test_tol_must_be_finite_positive(self, capsys, tmp_path, tol):
+        path = tmp_path / "f.csv"
+        path.write_text(TWIN_2X3_CSV)
+        with pytest.raises(SystemExit) as exc:
+            main(["sparsest", str(path), f"--tol={tol}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tol" in captured.err
+
+    def test_small_tol_is_taken(self, capsys, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text(TWIN_2X3_CSV)
+        code, rep = run_json(capsys, ["sparsest", str(path), "--tol", "1e-8"])
+        assert code == 0
+        assert rep["tolerances"]["rank"] == 1e-8
+
+    @pytest.mark.parametrize("kind", ["integer", "rational", "real", "complex"])
+    def test_all_duals_formatted_per_row(self, capsys, tmp_path, kind):
+        # formatting each candidate row once gives the per-dual formatting
+        path = str(tmp_path / "f.csv")
+        write_matrix(seeded_frames()[kind].matrix, path)
+        code, rep = run_json(capsys, ["sparsest", path, "--all"])
+        assert code == 0
+        duals = enumerate_sparsest_duals(Frame(read_matrix(path)))
+        assert rep["results"]["all_duals"] == [
+            cli._matrix_json(d.matrix) for d in duals]
+        assert rep["results"]["count"] == len(duals) > 5
+
+    def test_failing_candidate_row_exit(self, capsys, monkeypatch, tmp_path):
+        # the sparsest dual's own check is skipped, so exit 9 comes from the
+        # enumeration's row certification
+        path = str(tmp_path / "f.csv")
+        write_matrix(seeded_frames()["real"].matrix, path)
+        monkeypatch.setattr(sparsity, "_row_vector", rows_off_by(1e-6))
+        monkeypatch.setattr(cli, "_verified_residual", lambda frame, dual: 0.0)
+        assert main(["sparsest", path, "--all"]) == 9
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "fails its duality check" in captured.err
 
 
 class TestSpectralCommands:
@@ -330,6 +379,23 @@ def test_unusable_shape_exit(capsys, monkeypatch, tmp_path, argv, named):
     assert main([str(frame35) if a == "FRAME35" else a for a in argv]) == 6
     assert named in capsys.readouterr().err
     assert list(tmp_path.glob("*.csv")) == [frame35]
+
+
+def test_negative_gabor_size_exit(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "gabor", "-n", "-1"]) == 6
+    assert "-1" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize("trials", ["-1", "0", "abc"])
+def test_trials_must_be_positive(capsys, trials):
+    with pytest.raises(SystemExit) as exc:
+        main(["random", "-n", "2", "-m", "3", "--trials", trials])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--trials" in captured.err
 
 
 class TestIOErrors:

@@ -5,8 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dualframes.errors import RankDeficient, SingularSubset, SizeLimit, Truncated
-from dualframes.frames import Frame, is_dual, row_delete
+from dualframes import sparsity
+from dualframes.errors import (
+    NonConvergence,
+    RankDeficient,
+    SingularSubset,
+    SizeLimit,
+    Truncated,
+)
+from dualframes.frames import DUAL_CHECK_TOL, Frame, is_dual, row_delete
 from dualframes.numerics import nullspace_basis, rank_tol
 from dualframes.sparsity import (
     DEFAULT_BUDGET,
@@ -31,6 +38,8 @@ from conftest import (
     frac_matrix,
     random_integer_frame,
     random_rational_matrix,
+    rows_off_by,
+    seeded_frames,
 )
 
 # the three sparsest duals of [[1,-1,0],[1,2,-1]], in enumeration order
@@ -311,6 +320,71 @@ class TestEnumerate:
                 assert exc.value.limit == k
                 assert exc.value.partial == duals[:k]
             assert enumerate_sparsest_duals(f, limit=len(duals)) == duals
+
+
+def _duals(frame, limit=None):
+    """enumerate_sparsest_duals, with a truncated result taken from its
+    Truncated."""
+    try:
+        return enumerate_sparsest_duals(frame, limit)
+    except Truncated as exc:
+        return exc.partial
+
+
+@pytest.mark.parametrize("kind", ["integer", "rational", "real", "complex"])
+class TestSparsestDuals:
+    def test_count_is_product_of_row_lists(self, kind):
+        f = seeded_frames()[kind]
+        duals = enumerate_sparsest_duals(f)
+        assert len(duals.rows) == f.n
+        assert duals.count == math.prod(len(r) for r in duals.rows) > 5
+        assert len(duals) == duals.count == len(list(duals))
+
+    @pytest.mark.parametrize("limit", [None, 0, 1, 5])
+    def test_len_under_limit(self, kind, limit):
+        f = seeded_frames()[kind]
+        count = enumerate_sparsest_duals(f).count
+        duals = _duals(f, limit)
+        assert duals.count == count
+        assert len(duals) == (count if limit is None else min(count, limit))
+        assert len(list(duals)) == len(duals)
+
+    def test_indexing_and_slicing_match_iteration(self, kind):
+        duals = _duals(seeded_frames()[kind], 5)
+        items = list(duals)
+        k = len(items)
+        assert [duals[i] for i in range(k)] == items
+        assert [duals[-i] for i in range(1, k + 1)] == items[::-1]
+        for cut in (slice(1, 4), slice(None, None, -2), slice(-2, None),
+                    slice(k, None), slice(None)):
+            assert duals[cut] == items[cut]
+        for bad in (k, -k - 1):
+            with pytest.raises(IndexError):
+                duals[bad]
+
+    def test_sequence_is_product_of_rows(self, kind):
+        f = seeded_frames()[kind]
+        duals = enumerate_sparsest_duals(f)
+        expected = [Frame(np.vstack(r)) for r in itertools.product(*duals.rows)]
+        assert list(duals) == expected
+        assert duals == expected and expected == duals
+        assert duals == enumerate_sparsest_duals(f)
+        assert duals != expected[:-1]
+
+    def test_every_dual_passes(self, kind):
+        f = seeded_frames()[kind]
+        for d in enumerate_sparsest_duals(f):
+            ok, resid = is_dual(f, d, DUAL_CHECK_TOL)
+            assert ok and (resid == 0 or not f.is_exact)
+
+
+@pytest.mark.parametrize("kind", ["integer", "real"])
+def test_failing_candidate_row_raises(monkeypatch, kind):
+    f = seeded_frames()[kind]
+    delta = Fraction(1, 10**6) if f.is_exact else 1e-6
+    monkeypatch.setattr(sparsity, "_row_vector", rows_off_by(delta))
+    with pytest.raises(NonConvergence, match="row 0 on support"):
+        enumerate_sparsest_duals(f)
 
 
 def test_sparsity_bounds(ex_sparse):
