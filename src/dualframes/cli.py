@@ -503,7 +503,7 @@ def build_parser():
     sp.add_argument("-m", type=int, required=True)
     sp.add_argument("--trials", type=_at_least(1), default=100,
                     help="number of trials (>= 1, default 100)")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_at_least(0), default=0)
     common(sp, output=False)
     sp.set_defaults(func=cmd_random)
 
@@ -520,7 +520,7 @@ def build_parser():
     sp.add_argument("--ys", help="vandermonde row exponents")
     sp.add_argument("-n", type=int)
     sp.add_argument("-m", type=int)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_at_least(0), default=0)
     common(sp)
     sp.set_defaults(func=cmd_generate)
 

@@ -12,6 +12,7 @@ through shortest round-trip decimals.
 
 from __future__ import annotations
 
+import cmath
 import os
 import re
 import tempfile
@@ -165,6 +166,10 @@ def _parse_entries(declared, lines):
         except (OverflowError, ValueError) as exc:
             raise ParseError(f"line {lineno}: entry not representable "
                              f"in the {field} field ({exc})") from exc
+        # no frame has an inf or nan entry, so floats refuse them too
+        if convert is not Fraction and not all(map(cmath.isfinite, values[-1])):
+            raise ParseError(f"line {lineno}: non-finite entry in the "
+                             f"{field} field")
     return np.array(values, dtype=object if convert is Fraction else convert)
 
 

@@ -9,7 +9,6 @@ orthogonality of the parametrized dual is trivially verifiable.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +25,12 @@ from .errors import (
 )
 from .frames import DualParametrization
 
+# relative margins, so that no verdict depends on the frame's units: the
+# sigma_n cluster, each interlacing inequality (and a target's order and
+# matching), and the floors 1/sigma_i of a requested value
 CLUSTER_RTOL = 1e-8
+SPECTRUM_RTOL = 1e-9
+FLOOR_RTOL = 1e-12
 
 CASE_REDUNDANT_2N = "Redundant2n"
 CASE_EXACT_2N_MINUS_1 = "Exact2nMinus1"
@@ -49,20 +53,20 @@ class TightDualSpec:
     p: int  # largest index (1-based) with sigma_p > sigma_n; 0 if tight
 
 
-def _smallest_cluster(sigma, rtol=CLUSTER_RTOL):
+def _smallest_cluster(sigma):
     """p = number of singular values strictly above the sigma_n cluster."""
     n = len(sigma)
     p = n - 1
-    while p > 0 and sigma[p - 1] <= sigma[-1] * (1 + rtol):
+    while p > 0 and sigma[p - 1] <= sigma[-1] * (1 + CLUSTER_RTOL):
         p -= 1
     return p
 
 
-def classify_tight_dual(n, m, sigma, rtol=CLUSTER_RTOL):
+def classify_tight_dual(n, m, sigma):
     """Existence trichotomy for tight duals, decided from (m, n) and the
     multiplicity of the smallest singular value."""
     sigma = np.asarray(sigma, dtype=float)
-    p = _smallest_cluster(sigma, rtol)
+    p = _smallest_cluster(sigma)
     if p == 0 and m < 2 * n:
         case = CASE_ALREADY_TIGHT
     elif m >= 2 * n:
@@ -71,13 +75,22 @@ def classify_tight_dual(n, m, sigma, rtol=CLUSTER_RTOL):
         case = CASE_EXACT_2N_MINUS_1
     else:
         case = CASE_CONSTRAINED
-    exists = True
-    if case == CASE_CONSTRAINED and p > m - n:
-        exists = False
+    exists = not (case == CASE_CONSTRAINED and p > m - n)
     return TightDualSpec(sigma_psi=1.0 / sigma[-1], case=case, p=p), exists
 
 
-def tight_dual(frame, sigma_psi=None, rtol=CLUSTER_RTOL):
+def _orthogonal_dual(fac, picks):
+    """The dual that raises the canonical value 1/sigma_i to q for each pick
+    {i: q}: free row s_i = sqrt(q^2 - 1/sigma_i^2) e_k, with k running over
+    the picked indices in order.  Returns (dual, s_block)."""
+    par = DualParametrization(svd=fac)
+    for k, i in enumerate(sorted(picks)):
+        q = picks[i]
+        par.s_block[i, k] = math.sqrt(max(q ** 2 - 1.0 / fac.sigma[i] ** 2, 0.0))
+    return par.realize(), par.s_block
+
+
+def tight_dual(frame, sigma_psi=None):
     """Tight dual with common singular value sigma_psi (default 1/sigma_n).
 
     Returns (dual, TightDualSpec, s_block).  The free rows are
@@ -85,135 +98,108 @@ def tight_dual(frame, sigma_psi=None, rtol=CLUSTER_RTOL):
     value falls short, zero otherwise.
     """
     fac = numerics.svd(frame.as_float())
-    sigma = fac.sigma
-    n, m, r = frame.n, frame.m, frame.m - frame.n
-    minimal = 1.0 / sigma[-1]
-    spec, exists = classify_tight_dual(n, m, sigma, rtol)
+    n, m = frame.n, frame.m
+    minimal = 1.0 / fac.sigma[-1]
+    spec, exists = classify_tight_dual(n, m, fac.sigma)
     if sigma_psi is None:
         sigma_psi = minimal
-    if sigma_psi < minimal * (1 - 1e-12):
+    if not math.isfinite(sigma_psi):
+        raise BoundInfeasible(f"sigma_psi {sigma_psi} is not a finite number")
+    if sigma_psi < minimal * (1 - FLOOR_RTOL):
         raise BoundInfeasible(
             f"sigma_psi {sigma_psi} below the floor 1/sigma_n = {minimal}"
         )
-    strict = sigma_psi > minimal * (1 + 1e-12)
+    strict = sigma_psi > minimal * (1 + FLOOR_RTOL)
     if strict and m < 2 * n:
         raise BoundInfeasible(
             f"sigma_psi above 1/sigma_n requires m >= 2n (m={m}, n={n})"
         )
-    p = spec.p
-    active = list(range(n)) if strict else list(range(p))
-    if not strict and p > r:
+    if not strict and not exists:
         raise NoTightDual(
             f"needs the smallest {2 * n - m} singular values equal "
-            f"(p={p} > r={r})"
+            f"(p={spec.p} > r={m - n})"
         )
-    dtype = complex if np.iscomplexobj(frame.matrix) else float
-    s_block = np.zeros((n, r), dtype=dtype)
-    for k, i in enumerate(active):
-        s_block[i, k] = math.sqrt(max(sigma_psi ** 2 - 1.0 / sigma[i] ** 2, 0.0))
-    spec = TightDualSpec(sigma_psi=float(sigma_psi), case=spec.case, p=p)
-    dual = DualParametrization(svd=fac, s_block=s_block).realize()
+    active = range(n) if strict else range(spec.p)
+    dual, s_block = _orthogonal_dual(fac, dict.fromkeys(active, sigma_psi))
+    spec.sigma_psi = float(sigma_psi)
     return dual, spec, s_block
 
 
-def prescribed_spectrum_dual(frame, picks, tol=1e-12):
+def prescribed_spectrum_dual(frame, picks):
     """Dual whose spectrum contains the picked values q_i (index -> value).
 
     Indices are 0-based into the non-increasing singular values of the frame;
-    each q_i must be at least 1/sigma_i.  Unpicked rows keep their canonical
-    value 1/sigma_{n-i+1}.
+    each q_i must be finite and at least 1/sigma_i.  Unpicked rows keep their
+    canonical value 1/sigma_{n-i+1}.
     """
     fac = numerics.svd(frame.as_float())
-    sigma = fac.sigma
     n, r = frame.n, frame.m - frame.n
     if len(picks) > r:
         raise TooManyPicks(f"{len(picks)} picks but only r = {r} directions")
     for i, q in picks.items():
         if not 0 <= i < n:
             raise BadTarget(f"pick index {i} outside [0, {n})")
-        if q < 1.0 / sigma[i] * (1 - tol):
+        if not math.isfinite(q):
+            raise BadTarget(f"pick {q} at index {i} is not a finite number")
+        if q < 1.0 / fac.sigma[i] * (1 - FLOOR_RTOL):
             raise BelowCanonical(
-                f"pick {q} at index {i} below canonical floor {1.0 / sigma[i]}"
+                f"pick {q} at index {i} below canonical floor {1.0 / fac.sigma[i]}"
             )
-    dtype = complex if np.iscomplexobj(frame.matrix) else float
-    s_block = np.zeros((n, r), dtype=dtype)
-    for k, i in enumerate(sorted(picks)):
-        q = picks[i]
-        s_block[i, k] = math.sqrt(max(q ** 2 - 1.0 / sigma[i] ** 2, 0.0))
-    return DualParametrization(svd=fac, s_block=s_block).realize()
+    return _orthogonal_dual(fac, picks)[0]
 
 
-def _reachable_by_orthogonalization(sigma, target, r, tol=1e-8):
-    """True iff target equals {q_i : picked} union {1/sigma_i : unpicked}
-    for some pick set of size <= r with q_i >= 1/sigma_i."""
-    n = len(sigma)
-    inv = [1.0 / s for s in sigma]  # inv[i] is the floor for picked index i
-    target = list(target)
-
-    def match(unpicked_vals, pick_floors, targets):
-        # exact-match the unpicked canonical values, then assign leftovers
-        # to picked floors (bipartite; sizes are tiny, so brute force)
-        if len(unpicked_vals) + len(pick_floors) != len(targets):
-            return False
-        remaining = list(targets)
-        for v in unpicked_vals:
-            hit = next(
-                (k for k, t in enumerate(remaining)
-                 if abs(t - v) <= tol * max(1.0, abs(v))),
-                None,
-            )
-            if hit is None:
-                return False
-            remaining.pop(hit)
-        for perm in itertools.permutations(range(len(pick_floors))):
-            if all(
-                remaining[k] >= pick_floors[perm[k]] - tol
-                for k in range(len(remaining))
-            ):
-                return True
-        return False
-
-    for size in range(min(r, n) + 1):
-        for picked in itertools.combinations(range(n), size):
-            unpicked = [inv[i] for i in range(n) if i not in picked]
-            floors = [inv[i] for i in picked]
-            if match(unpicked, floors, target):
-                return True
-    return False
+def _interlacing(floors, r):
+    """Bounds (lo_i, hi_i) on the i-th largest value of a dual spectrum
+    (0-based), from the non-increasing canonical values ``floors``:
+    lo_i = floors[i], and hi_i = floors[i - r], or inf for i < r."""
+    return [(lo, math.inf if i < r else floors[i - r])
+            for i, lo in enumerate(floors)]
 
 
-def spectrum_feasible(frame, target, tol=1e-9):
+def _unmatched(target, floors):
+    """Values of ``target`` left after pairing each canonical value with at
+    most one equal target value; on two non-increasing lists one pass pairs
+    as many as any pairing can."""
+    i = j = matched = 0
+    while i < len(target) and j < len(floors):
+        if abs(target[i] - floors[j]) <= SPECTRUM_RTOL * floors[j]:
+            i, j, matched = i + 1, j + 1, matched + 1
+        elif target[i] > floors[j]:
+            i += 1
+        else:
+            j += 1
+    return len(target) - matched
+
+
+def spectrum_feasible(frame, target):
     """Interlacing feasibility of a prospective dual spectrum.
 
     ``feasible`` checks the two families of inequalities (with the infinity
-    convention when m >= 2n); ``constructive`` is the conservative flag: the
-    target is reachable by the explicit orthogonalization construction.
+    convention when m >= 2n).  ``constructive``: the target is reached by
+    the orthogonal construction of ``prescribed_spectrum_dual``, which holds
+    when it is feasible and at most r of its values equal no canonical
+    value (feasibility makes the target dominate the canonical values, and
+    removing equal pairs keeps that).
     """
     sigma = numerics.singular_values(frame.matrix)
     n, r = frame.n, frame.m - frame.n
     target = tuple(float(t) for t in target)
     if len(target) != n:
         raise BadTarget(f"target length {len(target)} != n = {n}")
-    if any(t <= 0 for t in target):
-        raise BadTarget("target values must be positive")
-    if any(target[i] < target[i + 1] - tol for i in range(n - 1)):
+    if not all(math.isfinite(t) and t > 0 for t in target):
+        raise BadTarget("target values must be finite and positive")
+    if any(target[i] < target[i + 1] * (1 - SPECTRUM_RTOL) for i in range(n - 1)):
         raise BadTarget("target must be sorted non-increasing")
 
+    floors = 1.0 / sigma[::-1]  # non-increasing canonical values
     violated = []
-    for i in range(1, n + 1):  # 1-based as in the inequalities
-        lo = 1.0 / sigma[n - i]
-        if target[i - 1] < lo - tol:
+    for i, (t, (lo, hi)) in enumerate(zip(target, _interlacing(floors, r)), 1):
+        if t < lo * (1 - SPECTRUM_RTOL):
             violated.append((i, lo, "lower"))
-        if i > r:
-            k = n - i + r + 1  # 1-based index; > n means unbounded
-            if k <= n:
-                hi = 1.0 / sigma[k - 1]
-                if target[i - 1] > hi + tol:
-                    violated.append((i, hi, "upper"))
+        if t > hi * (1 + SPECTRUM_RTOL):
+            violated.append((i, hi, "upper"))
     feasible = not violated
-    constructive = feasible and _reachable_by_orthogonalization(
-        sigma, target, r
-    )
+    constructive = feasible and _unmatched(sorted(target, reverse=True), floors) <= r
     return SpectrumTarget(
         values=target, feasible=feasible, constructive=constructive,
         violated=violated,
@@ -234,13 +220,7 @@ def lambda_region(frame):
     admissible dual frame-operator spectra (inf when the index underflows)."""
     sigma = numerics.singular_values(frame.matrix)
     lam = sigma ** 2
-    n, r = frame.n, frame.m - frame.n
-    canon = [1.0 / lam[n - i] for i in range(1, n + 1)]  # non-increasing
-
-    def upper(i):
-        return math.inf if i - r < 1 else canon[i - r - 1]
-
-    return [(canon[i - 1], upper(i)) for i in range(1, n + 1)]
+    return _interlacing(1.0 / lam[::-1], frame.m - frame.n)
 
 
 def dual_eigs_2x3(sigma1, sigma2, s1, s2):

@@ -19,6 +19,8 @@ SPECTRAL_CSV = "# field=real\n1.8,-0.24,-0.32\n2.4,0.18,0.24\n"
 INT_3X7_CSV = "1,2,3,4,5,6,7\n2,-1,5,3,-4,1,6\n3,1,-2,7,2,-5,4\n"
 # columns 0 and 1 are equal: a threshold <= 0 takes them as independent
 TWIN_2X3_CSV = "# field=real\n1,1,0\n0,0,1\n"
+# m = 2n, so any sigma above the floor is admissible and goes to the build
+WIDE_2X4_CSV = "1,0,1,0.5\n0,2,1,-0.5\n"
 
 
 @pytest.fixture
@@ -32,6 +34,13 @@ def sparse_file(tmp_path):
 def spectral_file(tmp_path):
     path = tmp_path / "spectral.csv"
     path.write_text(SPECTRAL_CSV)
+    return str(path)
+
+
+@pytest.fixture
+def wide_file(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text(WIDE_2X4_CSV)
     return str(path)
 
 
@@ -70,6 +79,16 @@ class TestAnalyze:
         path.write_text("1,2\n2,4\n")
         assert main(["analyze", str(path)]) == 2
         assert "not a frame" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["inf", "-inf", "nan", "1e999"])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_non_finite_entry(self, tmp_path, capsys, field, entry):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# field={field}\n1.0,{entry},1.0\n0.0,2.0,1.0\n")
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"line 2: non-finite entry in the {field} field" in captured.err
 
 
 class TestSparsest:
@@ -269,6 +288,23 @@ class TestSpectralCommands:
         assert rep["results"]["feasible"] is False
         assert rep["results"]["violated"][0]["side"] == "lower"
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_tight_non_finite_sigma(self, capsys, wide_file, sigma):
+        assert main(["tight", wide_file, "--sigma", sigma]) == 5
+        assert "not a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pick", ["nan", "inf"])
+    def test_prescribe_non_finite_pick(self, capsys, wide_file, pick):
+        assert main(["prescribe", wide_file, "--picks", f"1={pick}"]) == 6
+        assert "not a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spectrum", ["nan,1", "inf,1"])
+    def test_feasible_non_finite_target(self, capsys, wide_file, spectrum):
+        assert main(["feasible", wide_file, "--spectrum", spectrum]) == 6
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite and positive" in captured.err
+
 
 class TestTetris:
     def test_plan_and_dual(self, capsys, tmp_path):
@@ -396,6 +432,22 @@ def test_trials_must_be_positive(capsys, trials):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--trials" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["random", "-n", "2", "-m", "3", "--trials", "1"],
+    ["generate", "gaussian", "-n", "2", "-m", "3"],
+], ids=["random", "generate"])
+@pytest.mark.parametrize("seed", ["-1", "abc"])
+def test_seed_must_be_non_negative(capsys, monkeypatch, tmp_path, argv, seed):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", seed])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed" in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestIOErrors:

@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,8 +14,10 @@ from dualframes.errors import (
     NoTightDual,
     TooManyPicks,
 )
+from dualframes.cli import main
 from dualframes.experiments import gabor_frame
-from dualframes.frames import Frame, frame_operator, is_dual
+from dualframes.frames import Frame, canonical_dual, frame_operator, is_dual
+from dualframes.matrixio import write_matrix
 from dualframes.numerics import singular_values
 from dualframes.spectral import (
     CASE_ALREADY_TIGHT,
@@ -219,6 +223,171 @@ class TestFeasible:
             spectrum_feasible(ex_spectral, (1.0,))
         with pytest.raises(BadTarget):
             spectrum_feasible(ex_spectral, (1.0, -1.0))
+
+
+def _reachable_by_orthogonalization(sigma, target, r, tol=1e-8):
+    """True iff target equals {q_i : picked} union {1/sigma_i : unpicked}
+    for some pick set of size <= r with q_i >= 1/sigma_i."""
+    n = len(sigma)
+    inv = [1.0 / s for s in sigma]  # inv[i] is the floor for picked index i
+    target = list(target)
+
+    def match(unpicked_vals, pick_floors, targets):
+        # exact-match the unpicked canonical values, then assign leftovers
+        # to picked floors (bipartite; sizes are tiny, so brute force)
+        if len(unpicked_vals) + len(pick_floors) != len(targets):
+            return False
+        remaining = list(targets)
+        for v in unpicked_vals:
+            hit = next(
+                (k for k, t in enumerate(remaining)
+                 if abs(t - v) <= tol * max(1.0, abs(v))),
+                None,
+            )
+            if hit is None:
+                return False
+            remaining.pop(hit)
+        for perm in itertools.permutations(range(len(pick_floors))):
+            if all(
+                remaining[k] >= pick_floors[perm[k]] - tol
+                for k in range(len(remaining))
+            ):
+                return True
+        return False
+
+    for size in range(min(r, n) + 1):
+        for picked in itertools.combinations(range(n), size):
+            unpicked = [inv[i] for i in range(n) if i not in picked]
+            floors = [inv[i] for i in picked]
+            if match(unpicked, floors, target):
+                return True
+    return False
+
+
+def _targets(floors, r, rng):
+    """Candidate dual spectra around the non-increasing canonical values
+    ``floors``: the floors themselves, up to r + 1 of them raised, a floor
+    repeated in place of another, a midpoint between floors, a value below
+    its floor, all values above the caps, and random values."""
+    n = len(floors)
+    raised = list(floors)
+    for i in rng.choice(n, size=min(n, r + 1), replace=False):
+        raised[i] *= rng.uniform(1.0, 2.0)
+    repeated = list(floors)
+    repeated[rng.integers(n)] = floors[rng.integers(n)]
+    mid = list(floors)
+    mid[0] = 0.5 * (floors[0] + (floors[1] if n > 1 else 2 * floors[0]))
+    below = list(floors)
+    below[-1] *= 0.5
+    out = [floors, raised[:1] + list(floors[1:]), raised, repeated, mid,
+           below, [2.0 * floors[0]] * n,
+           rng.uniform(0.5 * floors[-1], 2.0 * floors[0], n)]
+    return [tuple(sorted(map(float, t), reverse=True)) for t in out]
+
+
+def _random_frame(rng, n, m, field):
+    mat = rng.standard_normal((n, m))
+    if field == "complex":
+        mat = mat + 1j * rng.standard_normal((n, m))
+    return Frame(mat)
+
+
+class TestConstructive:
+    def test_matches_the_search(self):
+        # n <= 5, so the factorial search of pick sets decides quickly
+        rng = np.random.default_rng(18)
+        seen = set()
+        for k in range(400):
+            n = int(rng.integers(1, 6))
+            m = int(rng.integers(n, 3 * n + 1))
+            frame = _random_frame(rng, n, m, ("real", "complex")[k % 2])
+            sigma = singular_values(frame.matrix)
+            r = m - n
+            for target in _targets(1.0 / sigma[::-1], r, rng):
+                st = spectrum_feasible(frame, target)
+                want = st.feasible and _reachable_by_orthogonalization(
+                    sigma, target, r)
+                assert st.constructive == want, (frame.matrix, target)
+                seen.add((st.feasible, st.constructive))
+        assert seen == {(False, False), (True, False), (True, True)}
+
+    def test_wide_frame_needs_no_search(self):
+        # 12 x 24: the search of pick sets would take minutes here
+        frame = Frame(np.random.default_rng(0).standard_normal((12, 24)))
+        target = 1.5 / singular_values(frame.matrix)[::-1]
+        start = time.perf_counter()
+        st = spectrum_feasible(frame, target)
+        assert time.perf_counter() - start < 1.0
+        assert st.feasible and st.constructive
+
+
+class TestScaleInvariance:
+    def test_lower_bound_at_large_scale(self):
+        # an absolute margin of 1e-9 took t_1 = 1e-4 below its floor 1e-6
+        # as feasible on this frame scaled by 1e6
+        frame = Frame(1e6 * np.random.default_rng(0).standard_normal((3, 5)))
+        floors = 1.0 / singular_values(frame.matrix)[::-1]
+        target = (floors[0] * (1 - 1e-4), *floors[1:])
+        st = spectrum_feasible(frame, target)
+        assert not st.feasible and not st.constructive
+        assert st.violated == [(1, floors[0], "lower")]
+
+    def test_canonical_spectrum_at_small_scale(self):
+        # an absolute margin of 1e-9 judged most of these infeasible at
+        # scale 1e-8, where the canonical values are about 1e8
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            frame = Frame(1e-8 * rng.standard_normal((4, 7)))
+            measured = singular_values(canonical_dual(frame).matrix)
+            st = spectrum_feasible(frame, measured)
+            assert st.feasible and st.constructive, st.violated
+
+    @staticmethod
+    def _outcomes(frame, targets, sigmas, tmp_path):
+        """Verdicts, tight-dual outcomes and exit codes of ``frame``."""
+        feasible = []
+        for t in targets:
+            st = spectrum_feasible(frame, t)
+            feasible.append((st.feasible, st.constructive,
+                             [(i, side) for i, _, side in st.violated]))
+        tight = []
+        for sigma in sigmas:
+            try:
+                _, spec, _ = tight_dual(frame, sigma)
+                tight.append((spec.case, spec.p))
+            except (BoundInfeasible, NoTightDual) as exc:
+                tight.append(type(exc).__name__)
+        path = str(tmp_path / "frame.csv")
+        write_matrix(frame.matrix, path)
+        codes = [main(["feasible", path, "--spectrum",
+                       ",".join(map(repr, t))]) for t in targets[:3]]
+        codes += [main(["tight", path] + ([] if s is None else
+                                          ["--sigma", repr(s)]))
+                  for s in sigmas]
+        measured = singular_values(canonical_dual(frame).matrix)
+        st = spectrum_feasible(frame, measured)
+        assert st.feasible and st.constructive, st.violated
+        return feasible, tight, codes
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_verdicts_do_not_depend_on_scale(self, tmp_path, field):
+        rng = np.random.default_rng(5)
+        frames = [_random_frame(rng, n, m, field)
+                  for n, m in [(2, 3), (3, 5), (3, 6), (4, 6)]]
+        # a repeated smallest singular value: a tight dual exists at m < 2n - 1
+        frames.append(frame_with_sigma([3.0, 1.0, 1.0], 4, seed=6))
+        for frame in frames:
+            r = frame.m - frame.n
+            floors = 1.0 / singular_values(frame.matrix)[::-1]
+            targets = _targets(floors, r, rng)
+            sigmas = [None, 0.5 * float(floors[0]), 1.5 * float(floors[0])]
+            base = self._outcomes(frame, targets, sigmas, tmp_path)
+            for c in (1e-8, 1e-4, 1e4, 1e8):
+                scaled = Frame(c * frame.matrix)
+                got = self._outcomes(
+                    scaled, [tuple(t / c for t in ts) for ts in targets],
+                    [None if s is None else s / c for s in sigmas], tmp_path)
+                assert got == base, (c, frame.matrix)
 
 
 def test_dual_bound_range(ex_spectral):
