@@ -6,9 +6,9 @@ stable key order.  Exit codes: 0 ok, 2 parse/rank failure, 3 subset budget,
 number list, missing generator option, bad surface grid, or a shape,
 node, window or size a generator or surface cannot take, 7 invalid or
 malformed tetris spectrum, 8 enumeration truncated at --limit (the report
-is still printed), 9 a numerical kernel failed or a built dual or an
-enumerated dual row failed its duality check, 10 an output file could not
-be written.  An input file that cannot be read exits 2.
+is still printed), 9 a numerical kernel failed, or a built dual or an
+enumerated dual row failed its duality check or is no frame, 10 an output
+file could not be written.  An input file that cannot be read exits 2.
 Row/pick indices on the command line are 1-based.
 """
 
@@ -21,6 +21,8 @@ import json
 import math
 import sys
 import time
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,37 +71,22 @@ EXIT_NON_CONVERGENCE = 9
 EXIT_UNWRITABLE_OUTPUT = 10
 
 
-def _digest(path):
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 # a report matrix is its rows of entry strings; bench/tracing.py counts the
 # entries reported through this name
 _matrix_json = format_rows
 
 
-def _report(command, args, results, tolerances=None, tolerance_dependent=False,
-            t0=None, input_path=None):
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "args": {k: v for k, v in sorted(vars(args).items())
-                 if k not in ("func", "json") and v is not None},
-        "inputs_digest": _digest(input_path) if input_path else None,
-        "results": results,
-        "tolerances": tolerances or {},
-        "tolerance_dependent": tolerance_dependent,
-        "timing_s": round(time.perf_counter() - t0, 6) if t0 else None,
-    }
+class _Outcome(NamedTuple):
+    """What a command computed.  ``main`` writes ``files``, (matrix, path)
+    pairs in order, skipping a None path, then prints ``lines`` or, with
+    ``--json``, the report around ``results``."""
 
-
-def _emit(report, as_json, summary_lines):
-    if as_json:
-        print(json.dumps(report, indent=2))
-    else:
-        for line in summary_lines:
-            print(line)
+    results: dict
+    lines: list
+    files: list = ()
+    code: int = EXIT_OK
+    tolerances: dict | None = None
+    tolerance_dependent: bool = False
 
 
 def _load_frame(path, exact=None, tol=None):
@@ -159,14 +146,11 @@ def _verified_residual(frame, dual):
 
 
 def cmd_analyze(args):
-    t0 = time.perf_counter()
     frame = _load_frame(args.input)
     sigma = numerics.singular_values(frame.as_float())
     bounds = frame_bounds(frame)
     dual = canonical_dual(frame)
     region = spectral.lambda_region(frame)
-    if args.output:
-        write_matrix(dual.matrix, args.output)
     results = {
         "n": frame.n,
         "m": frame.m,
@@ -179,18 +163,15 @@ def cmd_analyze(args):
         ],
         "canonical_dual": _matrix_json(dual.matrix),
     }
-    report = _report("analyze", args, results, t0=t0, input_path=args.input)
-    _emit(report, args.json, [
+    return _Outcome(results, [
         f"frame: n={frame.n} m={frame.m} field={frame.field}",
         f"singular values: {results['singular_values']}",
         f"frame bounds: A={bounds.lower:.12g} B={bounds.upper:.12g}",
         f"dual set dimension: {results['dual_set_dimension']}",
-    ])
-    return EXIT_OK
+    ], [(dual.matrix, args.output)])
 
 
 def cmd_sparsest(args):
-    t0 = time.perf_counter()
     frame = _load_frame(args.input, exact=args.exact, tol=args.tol)
     budget = sparsity.DEFAULT_BUDGET if args.budget is None else args.budget
     psi, cert = sparsity.sparsest_dual(frame, budget)
@@ -210,6 +191,7 @@ def cmd_sparsest(args):
         "zero_columns": zero_cols,
         "dual": _matrix_json(psi.matrix),
     }
+    lines = [f"sparsity: {cert.total_sparsity}"]
     code = EXIT_OK
     if args.all:
         try:
@@ -225,30 +207,17 @@ def cmd_sparsest(args):
         results["count"] = len(duals)
         if code == EXIT_TRUNCATED:
             results["truncated"] = True
-    if args.output:
-        write_matrix(psi.matrix, args.output)
-    report = _report(
-        "sparsest", args, results,
-        tolerances={"rank": frame.tol},
-        tolerance_dependent=cert.tolerance_dependent,
-        t0=t0, input_path=args.input,
-    )
-    lines = [f"sparsity: {results['sparsity']}"]
-    if args.all:
-        lines.append(f"sparsest duals: {results['count']}"
+        lines.append(f"sparsest duals: {len(duals)}"
                      + (" (truncated)" if code == EXIT_TRUNCATED else ""))
-    _emit(report, args.json, lines)
-    return code
+    return _Outcome(results, lines, [(psi.matrix, args.output)], code=code,
+                    tolerances={"rank": frame.tol},
+                    tolerance_dependent=cert.tolerance_dependent)
 
 
 def cmd_tight(args):
-    t0 = time.perf_counter()
     frame = _load_frame(args.input)
     dual, spec, s_block = spectral.tight_dual(frame, args.sigma)
     resid = _verified_residual(frame, dual)
-    measured = numerics.singular_values(dual.matrix)
-    if args.output:
-        write_matrix(dual.matrix, args.output)
     results = {
         "sigma_psi": spec.sigma_psi,
         "frame_bound": spec.sigma_psi ** 2,
@@ -256,51 +225,47 @@ def cmd_tight(args):
         "p": spec.p,
         "s_block": _matrix_json(s_block),
         "duality_residual": resid,
-        "measured_spectrum": [float(s) for s in measured],
+        "measured_spectrum": numerics.singular_values(dual.matrix).tolist(),
         "dual": _matrix_json(dual.matrix),
     }
-    report = _report("tight", args, results, t0=t0, input_path=args.input)
     # at most n of the n x (m - n) entries are nonzero
     nonzero = " ".join(f"({i}, {j}, {results['s_block'][i][j]})"
                        for i, j in np.argwhere(s_block).tolist())
-    _emit(report, args.json, [
+    return _Outcome(results, [
         f"tight dual with sigma_psi = {spec.sigma_psi:.12g} ({spec.case})",
         f"s block: {s_block.shape[0]}x{s_block.shape[1]}, "
         f"nonzero (row, col, value): {nonzero or 'none'}",
-    ])
-    return EXIT_OK
+    ], [(dual.matrix, args.output)])
 
 
 def cmd_prescribe(args):
-    t0 = time.perf_counter()
     frame = _load_frame(args.input)
     picks = {}
     for part in args.picks.split(","):
         idx, _, val = part.partition("=")
         try:
-            picks[int(idx) - 1] = float(val)
+            i, q = int(idx), float(val)
         except ValueError as exc:
             raise BadTarget(f"bad pick {part!r}") from exc
+        if not 1 <= i <= frame.n:
+            raise BadTarget(f"pick index {i} outside [1, {frame.n}]")
+        if i - 1 in picks:
+            raise BadTarget(f"pick index {i} given twice")
+        picks[i - 1] = q
     dual = spectral.prescribed_spectrum_dual(frame, picks)
     resid = _verified_residual(frame, dual)
-    measured = numerics.singular_values(dual.matrix)
-    if args.output:
-        write_matrix(dual.matrix, args.output)
     results = {
         "requested": {str(i + 1): q for i, q in sorted(picks.items())},
-        "measured_spectrum": [float(s) for s in measured],
+        "measured_spectrum": numerics.singular_values(dual.matrix).tolist(),
         "duality_residual": resid,
         "dual": _matrix_json(dual.matrix),
     }
-    report = _report("prescribe", args, results, t0=t0, input_path=args.input)
-    _emit(report, args.json, [
+    return _Outcome(results, [
         f"measured spectrum: {results['measured_spectrum']}",
-    ])
-    return EXIT_OK
+    ], [(dual.matrix, args.output)])
 
 
 def cmd_feasible(args):
-    t0 = time.perf_counter()
     frame = _load_frame(args.input)
     target = _float_list(args.spectrum, BadTarget)
     st = spectral.spectrum_feasible(frame, target)
@@ -312,16 +277,13 @@ def cmd_feasible(args):
             {"index": i, "bound": b, "side": side} for i, b, side in st.violated
         ],
     }
-    report = _report("feasible", args, results, t0=t0, input_path=args.input)
-    _emit(report, args.json, [
+    return _Outcome(results, [
         f"feasible={str(st.feasible).lower()} "
         f"constructive={str(st.constructive).lower()}",
     ])
-    return EXIT_OK
 
 
 def cmd_tetris(args):
-    t0 = time.perf_counter()
     eigs = _float_list(args.eigs, InvalidSpectrum)
     plan = tetris.tetris_plan(eigs)
     frame = tetris.tetris_frame(plan)
@@ -336,26 +298,19 @@ def cmd_tetris(args):
         "sparsity": tetris.tetris_sparsity(plan),
         "frame": _matrix_json(frame.matrix),
     }
-    if args.output:
-        write_matrix(frame.matrix, args.output)
+    files = [(frame.matrix, args.output)]
     if args.dual:
         dual = tetris.tetris_sparse_dual(plan)
         results["dual"] = _matrix_json(dual.matrix)
-        if args.dual_output:
-            write_matrix(dual.matrix, args.dual_output)
-    report = _report("tetris", args, results, t0=t0)
-    _emit(report, args.json, [
+        files.append((dual.matrix, args.dual_output))
+    return _Outcome(results, [
         f"tetris frame {plan.n}x{plan.m}: k_hat={plan.k_hat} "
         f"sparsest dual sparsity {results['sparsity']}",
-    ])
-    return EXIT_OK
+    ], files)
 
 
 def cmd_random(args):
-    t0 = time.perf_counter()
-    rep = experiments.genericity_trial(
-        args.n, args.m, args.trials, args.seed
-    )
+    rep = experiments.genericity_trial(args.n, args.m, args.trials, args.seed)
     results = {
         "n": rep.n, "m": rep.m, "trials": rep.trials, "seed": rep.seed,
         "count_in_P": rep.count_in_P,
@@ -363,18 +318,13 @@ def cmd_random(args):
         "failures": rep.failures,
         "boundary": rep.boundary,
     }
-    report = _report(
-        "random", args, results, tolerance_dependent=True, t0=t0
-    )
-    _emit(report, args.json, [
+    return _Outcome(results, [
         f"{rep.count_sparsity_n2}/{rep.trials} trials reached sparsity n^2 "
         f"({rep.count_in_P} in general position)",
-    ])
-    return EXIT_OK
+    ], tolerance_dependent=True)
 
 
 def cmd_surface(args):
-    t0 = time.perf_counter()
     frame = _load_frame(args.input)
     s_range = _float_list(args.range, BadTarget)
     if len(s_range) != 2:
@@ -382,9 +332,7 @@ def cmd_surface(args):
     table = experiments.surface_2x3(frame, s_range=s_range, step=args.step)
     out = args.output or "surface.csv"
     write_atomic(out, "s1,s2,lambda1,lambda2\n" + "".join(
-        f"{float(s1)!r},{float(s2)!r},{float(l1)!r},{float(l2)!r}\n"
-        for s1, s2, l1, l2 in table
-    ))
+        ",".join(row) + "\n" for row in format_rows(table)))
     gap = np.abs(table[:, 2] - table[:, 3])
     k = int(np.argmin(gap))
     results = {
@@ -393,12 +341,10 @@ def cmd_surface(args):
         "min_gap": float(gap[k]),
         "min_gap_at": [float(table[k, 0]), float(table[k, 1])],
     }
-    report = _report("surface", args, results, t0=t0, input_path=args.input)
-    _emit(report, args.json, [
+    return _Outcome(results, [
         f"wrote {len(table)} rows to {out}; min |l1-l2| = {gap[k]:.3g} "
         f"at (s1, s2) = {tuple(results['min_gap_at'])}",
     ])
-    return EXIT_OK
 
 
 # the options each generator reads, as spelled on the command line
@@ -411,11 +357,11 @@ _GENERATOR_OPTIONS = {
 
 
 def cmd_generate(args):
-    t0 = time.perf_counter()
     missing = [opt for opt in _GENERATOR_OPTIONS[args.generator]
                if getattr(args, opt.lstrip("-")) is None]
     if missing:
         raise BadTarget(f"generate {args.generator} needs {' and '.join(missing)}")
+    rng = np.random.default_rng(args.seed)  # read by gabor and gaussian
     if args.generator == "vandermonde":
         xs = _float_list(args.xs, BadTarget)
         ys = _float_list(args.ys, BadTarget)
@@ -425,18 +371,14 @@ def cmd_generate(args):
     elif args.generator == "gabor":
         if args.n < 0:  # -n 0 draws an empty window, which is ZeroWindow
             raise BadShape(f"gabor window length must be >= 1, got {args.n}")
-        rng = np.random.default_rng(args.seed)
         window = rng.standard_normal(args.n) + 1j * rng.standard_normal(args.n)
         frame = experiments.gabor_frame(window)
     else:
-        rng = np.random.default_rng(args.seed)
         frame = experiments.sample_gaussian_frame(args.n, args.m, rng)
     out = args.output or f"{args.generator}.csv"
-    write_matrix(frame.matrix, out)
-    results = {"n": frame.n, "m": frame.m, "file": out}
-    report = _report("generate", args, results, t0=t0)
-    _emit(report, args.json, [f"wrote {frame.n}x{frame.m} frame to {out}"])
-    return EXIT_OK
+    return _Outcome({"n": frame.n, "m": frame.m, "file": out},
+                    [f"wrote {frame.n}x{frame.m} frame to {out}"],
+                    [(frame.matrix, out)])
 
 
 def build_parser():
@@ -541,9 +483,15 @@ _EXIT_CODES = [
 
 
 def main(argv=None):
+    """Run one command, write its files, print its summary or its ``--json``
+    report, and return the exit code."""
     args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        out = args.func(args)
+        for matrix, path in out.files:
+            if path:
+                write_matrix(matrix, path)
     except DualFramesError as exc:
         prefix = "not a frame: " if isinstance(exc, RankDeficient) else ""
         print(f"error: {prefix}{exc}", file=sys.stderr)
@@ -551,6 +499,23 @@ def main(argv=None):
             if isinstance(exc, classes):
                 return code
         return 1
+    if not args.json:
+        print(*out.lines, sep="\n")
+        return out.code
+    path = getattr(args, "input", None)  # tetris, random and generate read none
+    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest() if path else None
+    print(json.dumps({
+        "schema_version": SCHEMA_VERSION,
+        "command": args.subcommand,
+        "args": {k: v for k, v in sorted(vars(args).items())
+                 if k not in ("func", "json") and v is not None},
+        "inputs_digest": digest,
+        "results": out.results,
+        "tolerances": out.tolerances or {},
+        "tolerance_dependent": out.tolerance_dependent,
+        "timing_s": round(time.perf_counter() - t0, 6),
+    }, indent=2))
+    return out.code
 
 
 if __name__ == "__main__":

@@ -114,12 +114,14 @@ def genericity_trial(n, m, trials, seed, dist="gaussian", budget=None):
 
     Per trial: sample a frame, test membership in P (all row-deleted
     submatrices in general position) and whether the exact sparsity sum
-    reaches n^2.  Verdicts on the floating path are tolerance-dependent;
+    reaches n^2.  One ``sparsity_bounds`` scan gives both: spark(Phi^{(j)})
+    is at most n, so the lower sum is n^2 exactly when the frame is in P.
+    Verdicts on the floating path are tolerance-dependent;
     any failed trial is re-checked as a frame at 10x tighter and looser
     rank thresholds than its own and flagged as a boundary case if the
     verdicts differ; a threshold at which the matrix is no frame differs.
-    Each sparsity sum is one scan that decides every row, so all rows of a
-    frame share one ``budget`` per tolerance.
+    Each scan decides every row, so both verdicts and all rows of a frame
+    share one ``budget`` per tolerance.
     """
     if dist != "gaussian":
         raise ValueError(f"unknown distribution {dist!r}")
@@ -127,9 +129,8 @@ def genericity_trial(n, m, trials, seed, dist="gaussian", budget=None):
     report = TrialReport(n=n, m=m, trials=trials, seed=seed, dist=dist)
     for t in range(trials):
         frame = sample_gaussian_frame(n, m, _trial_rng(seed, t))
-        in_p = sparsity.in_P(frame, **kwargs)
-        total = sparsity.generalized_spark_sum(frame, **kwargs)
-        if in_p:
+        lower, total, _ = sparsity.sparsity_bounds(frame, **kwargs)
+        if lower == n * n:
             report.count_in_P += 1
         if total == n * n:
             report.count_sparsity_n2 += 1

@@ -17,7 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .errors import IndexOutOfRange, RankDeficient, ShapeMismatch
+from .errors import (
+    IndexOutOfRange,
+    NonConvergence,
+    RankDeficient,
+    ShapeMismatch,
+)
 from .numerics import (
     DEFAULT_TOL,
     SVDFactors,
@@ -214,11 +219,18 @@ class DualParametrization:
     def realize(self):
         """U [diag(1/sigma) | S] [V1 | V2]* = U (diag(1/sigma) V1* + S V2*),
         a dual frame of the original frame; S V2* is (V2 S*)*, applied
-        through ``SVDFactors.complement``."""
+        through ``SVDFactors.complement``.  A dual that is no frame at its
+        own rank threshold (one singular value some 1e10 times another)
+        raises NonConvergence: the input is a frame, the build failed."""
         fac = self.svd
         canonical = (fac.v / fac.sigma).conj().T
         free = fac.complement(self.s_block.conj().T).conj().T
-        return Frame(fac.u @ (canonical + free))
+        try:
+            return Frame(fac.u @ (canonical + free))
+        except RankDeficient as exc:
+            raise NonConvergence(
+                f"built dual is not a frame at its own rank threshold: {exc}"
+            ) from exc
 
 
 def dual_set_dimension(frame):

@@ -116,12 +116,12 @@ class SVDFactors:
         return y
 
 
-def svd(a, tol_recon=DEFAULT_TOL, tol_unitary=DEFAULT_TOL):
+def svd(a):
     """Thin SVD of a real or complex matrix; rational input is converted.
 
-    Raises NonConvergence if the LAPACK kernel fails, and checks the
-    reconstruction residual and the orthonormality of the columns of U and
-    V1 before returning.
+    Raises NonConvergence if the LAPACK kernel fails, if the relative
+    reconstruction residual exceeds DEFAULT_TOL, or if the columns of U or
+    V1 are further from orthonormal than DEFAULT_TOL times the dimension.
     """
     a = to_float(np.asarray(a)) if is_rational(a) else np.asarray(a)
     if a.size == 0:
@@ -134,13 +134,13 @@ def svd(a, tol_recon=DEFAULT_TOL, tol_unitary=DEFAULT_TOL):
     norm_a = np.linalg.norm(a)
     if norm_a > 0:
         resid = np.linalg.norm(factors.reconstruct() - a) / norm_a
-        if resid > tol_recon:
+        if resid > DEFAULT_TOL:
             raise NonConvergence(f"SVD reconstruction residual {resid:.3e}")
     n, m = a.shape
     eye = np.eye(len(s))
-    if np.linalg.norm(u.conj().T @ u - eye) > tol_unitary * max(1.0, n):
+    if np.linalg.norm(u.conj().T @ u - eye) > DEFAULT_TOL * max(1.0, n):
         raise NonConvergence("left factor columns not orthonormal")
-    if np.linalg.norm(vh @ vh.conj().T - eye) > tol_unitary * max(1.0, m):
+    if np.linalg.norm(vh @ vh.conj().T - eye) > DEFAULT_TOL * max(1.0, m):
         raise NonConvergence("right factor columns not orthonormal")
     return factors
 

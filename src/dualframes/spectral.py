@@ -79,6 +79,13 @@ def classify_tight_dual(n, m, sigma):
     return TightDualSpec(sigma_psi=1.0 / sigma[-1], case=case, p=p), exists
 
 
+def _square_is_finite(x):
+    """True iff x^2 is a finite double; the free rows take the square of a
+    value, which ** would turn into an OverflowError."""
+    x = float(x)
+    return math.isfinite(x * x)
+
+
 def _orthogonal_dual(fac, picks):
     """The dual that raises the canonical value 1/sigma_i to q for each pick
     {i: q}: free row s_i = sqrt(q^2 - 1/sigma_i^2) e_k, with k running over
@@ -114,6 +121,8 @@ def tight_dual(frame, sigma_psi=None):
         raise BoundInfeasible(
             f"sigma_psi above 1/sigma_n requires m >= 2n (m={m}, n={n})"
         )
+    if not _square_is_finite(sigma_psi):
+        raise BoundInfeasible(f"sigma_psi {sigma_psi} has no finite square")
     if not strict and not exists:
         raise NoTightDual(
             f"needs the smallest {2 * n - m} singular values equal "
@@ -141,6 +150,8 @@ def prescribed_spectrum_dual(frame, picks):
             raise BadTarget(f"pick index {i} outside [0, {n})")
         if not math.isfinite(q):
             raise BadTarget(f"pick {q} at index {i} is not a finite number")
+        if not _square_is_finite(q):
+            raise BadTarget(f"pick {q} has no finite square")
         if q < 1.0 / fac.sigma[i] * (1 - FLOOR_RTOL):
             raise BelowCanonical(
                 f"pick {q} at index {i} below canonical floor {1.0 / fac.sigma[i]}"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -520,3 +521,103 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+ENVELOPE_KEYS = ["schema_version", "command", "args", "inputs_digest",
+                 "results", "tolerances", "tolerance_dependent", "timing_s"]
+
+
+# (argv, reads FRAME, tolerance_dependent, first summary line's prefix)
+@pytest.mark.parametrize("argv, reads, dependent, summary", [
+    (["analyze", "FRAME"], True, False, "frame: n=2 m=3"),
+    (["sparsest", "FRAME"], True, True, "sparsity: "),
+    (["sparsest", "EXACT", "--all"], True, False, "sparsity: 3"),
+    (["tight", "FRAME"], True, False, "tight dual with sigma_psi"),
+    (["prescribe", "FRAME", "--picks", "1=1"], True, False,
+     "measured spectrum: "),
+    (["feasible", "FRAME", "--spectrum", "2,0.1"], True, False,
+     "feasible=false"),
+    (["tetris", "--eigs", "2.5,2.5,2"], False, False, "tetris frame 3x"),
+    (["random", "-n", "2", "-m", "3", "--trials", "2"], False, True,
+     "2/2 trials"),
+    (["surface", "FRAME", "--step", "1"], True, False, "wrote 49 rows"),
+    (["generate", "dft", "-n", "2", "-m", "3"], False, False,
+     "wrote 2x3 frame"),
+], ids=["analyze", "sparsest-float", "sparsest-exact", "tight", "prescribe",
+        "feasible", "tetris", "random", "surface", "generate"])
+class TestReportEnvelope:
+    def _argv(self, argv, spectral_file, sparse_file):
+        names = {"FRAME": spectral_file, "EXACT": sparse_file}
+        return [names.get(a, a) for a in argv]
+
+    def test_json(self, capsys, monkeypatch, tmp_path, spectral_file,
+                  sparse_file, argv, reads, dependent, summary):
+        monkeypatch.chdir(tmp_path)
+        argv = self._argv(argv, spectral_file, sparse_file)
+        code, rep = run_json(capsys, argv)
+        assert code == 0
+        assert list(rep) == ENVELOPE_KEYS
+        assert rep["schema_version"] == 1
+        assert rep["command"] == argv[0]
+        assert rep["args"]["subcommand"] == argv[0]
+        path = argv[1] if reads else None
+        assert rep["inputs_digest"] == (
+            hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            if path else None)
+        assert rep["tolerance_dependent"] is dependent
+        assert isinstance(rep["tolerances"], dict)
+        assert rep["timing_s"] >= 0
+
+    def test_text(self, capsys, monkeypatch, tmp_path, spectral_file,
+                  sparse_file, argv, reads, dependent, summary):
+        monkeypatch.chdir(tmp_path)
+        assert main(self._argv(argv, spectral_file, sparse_file)) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(summary)
+        assert "{" not in out and "schema_version" not in out
+
+
+class TestOverflowingValues:
+    @pytest.mark.parametrize("sigma", ["1e308", "1e200"])
+    def test_tight_sigma_without_finite_square(self, capsys, wide_file, sigma):
+        assert main(["tight", wide_file, "--sigma", sigma]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "has no finite square" in captured.err
+
+    def test_prescribe_pick_without_finite_square(self, capsys, wide_file):
+        assert main(["prescribe", wide_file, "--picks", "1=1e200"]) == 6
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "has no finite square" in captured.err
+
+    def test_built_dual_below_its_threshold(self, capsys, wide_file):
+        # singular values about 1e12 and 0.69: the input is a frame, the
+        # built dual is none at 1e-10 of its own norm
+        assert main(["prescribe", wide_file, "--picks", "1=1e12"]) == 9
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "built dual" in captured.err
+        assert "not a frame:" not in captured.err
+
+
+class TestPickIndices:
+    def test_repeated_index(self, capsys, wide_file):
+        assert main(["prescribe", wide_file, "--picks", "1=2,1=3"]) == 6
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "pick index 1 given twice" in captured.err
+
+    @pytest.mark.parametrize("index", ["0", "3", "-2"])
+    def test_index_outside_range_is_named_one_based(
+        self, capsys, wide_file, index
+    ):
+        assert main(["prescribe", wide_file, f"--picks={index}=2"]) == 6
+        assert (f"pick index {index} outside [1, 2]"
+                in capsys.readouterr().err)
+
+    def test_distinct_indices_are_kept(self, capsys, wide_file):
+        code, rep = run_json(
+            capsys, ["prescribe", wide_file, "--picks", "2=3,1=2"])
+        assert code == 0
+        assert rep["results"]["requested"] == {"1": 2.0, "2": 3.0}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dualframes import experiments
 from dualframes.errors import (
     BadShape,
     DuplicateNode,
@@ -84,6 +85,24 @@ class TestGenericity:
         assert rep.count_sparsity_n2 == 25
         assert rep.count_in_P == 25
         assert rep.tolerance_dependent
+
+    def test_count_in_P_is_in_P_per_frame(self, monkeypatch):
+        # frames in and out of P: Gaussian, a repeated column, and a zero
+        # entry pattern that leaves one row-deleted submatrix a zero column
+        rng = np.random.default_rng(5)
+        frames = []
+        for t in range(24):
+            mat = rng.standard_normal((3, 6))
+            if t % 3 == 1:
+                mat[:, 4] = mat[:, 1]
+            elif t % 3 == 2:
+                mat[:2, 0] = 0
+            frames.append(Frame(mat))
+        drawn = iter(frames)
+        monkeypatch.setattr(experiments, "sample_gaussian_frame",
+                            lambda n, m, rng: next(drawn))
+        rep = genericity_trial(3, 6, trials=len(frames), seed=0)
+        assert rep.count_in_P == sum(map(in_P, frames)) == 8
 
     def test_rejects_unknown_dist(self):
         with pytest.raises(ValueError):

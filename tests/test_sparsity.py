@@ -421,6 +421,14 @@ def test_sparsity_bounds_sandwich_random():
         assert lower <= exact <= upper == 9
 
 
+def test_in_P_is_the_full_lower_sum():
+    # spark(Phi^{(j)}) <= n, so the lower sum reaches n^2 exactly in P
+    frames = list(_reference_frames())
+    verdicts = [in_P(f) for f in frames]
+    assert verdicts == [sparsity_bounds(f)[0] == f.n ** 2 for f in frames]
+    assert any(verdicts) and not all(verdicts)
+
+
 class TestBiorthogonal:
     def test_auto_columns(self, ex_sparse):
         psi = biorthogonal_dual(ex_sparse)
