@@ -6,9 +6,9 @@ stable key order.  Exit codes: 0 ok, 2 parse/rank failure, 3 subset budget,
 number list, missing generator option, bad surface grid, or a shape,
 node, window or size a generator or surface cannot take, 7 invalid or
 malformed tetris spectrum, 8 enumeration truncated at --limit (the report
-is still printed), 9 a numerical kernel failed, or a built dual or an
-enumerated dual row failed its duality check or is no frame, 10 an output
-file could not be written.  An input file that cannot be read exits 2.
+is still printed), 9 a numerical kernel failed, a dual or a dual row failed
+its duality check, or a built dual is no frame, 10 an output file could not
+be written.  An input file that cannot be read exits 2.
 Row/pick indices on the command line are 1-based.
 """
 
@@ -91,8 +91,6 @@ class _Outcome(NamedTuple):
 
 def _load_frame(path, exact=None, tol=None):
     mat = read_matrix(path)
-    if exact is False and numerics.is_rational(mat):
-        mat = numerics.to_float(mat)
     if exact and not numerics.is_rational(mat):
         raise ParseError("--exact requires rational (p/q or integer) entries")
     return Frame(mat, tol=tol)
@@ -175,8 +173,6 @@ def cmd_sparsest(args):
     frame = _load_frame(args.input, exact=args.exact, tol=args.tol)
     budget = sparsity.DEFAULT_BUDGET if args.budget is None else args.budget
     psi, cert = sparsity.sparsest_dual(frame, budget)
-    if not frame.is_exact:  # exact duals are exact by construction
-        _verified_residual(frame, psi)
     zero_cols = [
         c for c in range(frame.m) if not np.any(psi.matrix[:, c] != 0)
     ]

@@ -150,7 +150,7 @@ def _spark_sum_at(frame, tol, kwargs):
         refit = Frame(frame.matrix, tol=tol)
     except RankDeficient:
         return None
-    return sparsity.generalized_spark_sum(refit, **kwargs)
+    return sparsity.sparsity_bounds(refit, **kwargs)[1]
 
 
 def default_generic_frame(n, m):

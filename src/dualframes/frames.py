@@ -12,12 +12,14 @@ Row indices are 0-based throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import numerics
 from .errors import (
+    BoundInfeasible,
     IndexOutOfRange,
     NonConvergence,
     RankDeficient,
@@ -88,12 +90,6 @@ class Frame:
     def as_float(self):
         return to_float(self.matrix)
 
-    def column(self, i):
-        return self.matrix[:, i]
-
-    def row(self, j):
-        return self.matrix[j, :]
-
     def __repr__(self):
         return f"Frame(n={self.n}, m={self.m}, field={self.field})"
 
@@ -123,9 +119,28 @@ def frame_operator(frame):
     return mat @ np.conjugate(mat).T
 
 
+def square_is_finite(x):
+    """True iff x^2 is a finite double; ``x ** 2`` would raise OverflowError
+    where it is not."""
+    x = float(x)
+    return math.isfinite(x * x)
+
+
+def check_squares(sigma):
+    """BoundInfeasible unless sigma_1^2 and 1/sigma_n^2 of the non-increasing
+    singular values ``sigma`` are finite doubles; then so is every sigma_i^2
+    and 1/sigma_i^2, and each is positive."""
+    for name, x in (("sigma_1", sigma[0]),
+                    (f"1/sigma_{len(sigma)}", 1 / float(sigma[-1]))):
+        if not square_is_finite(x):
+            raise BoundInfeasible(f"{name}^2 = ({x:.3e})^2 is not finite")
+
+
 def frame_bounds(frame):
-    """Extreme squared singular values (A, B) of the frame."""
+    """Extreme squared singular values (A, B) of the frame; BoundInfeasible
+    if they are not finite doubles (see ``check_squares``)."""
     s = numerics.singular_values(frame.matrix)
+    check_squares(s)
     return FrameBounds(lower=float(s[-1]) ** 2, upper=float(s[0]) ** 2)
 
 

@@ -224,7 +224,12 @@ def rank_threshold(a):
     ranks are exact."""
     if is_rational(a):
         return None
-    return RANK_RTOL * np.linalg.norm(a, axis=(-2, -1))
+    # 2^-e a, with 2^e just above the largest |entry|, squares nothing that
+    # overflows or underflows, and the scale is exact (e >= -1022: 2^-e < inf)
+    peak = np.max(np.abs(a), axis=(-2, -1), initial=0.0)
+    e = np.maximum(np.frexp(peak)[1], -1022)
+    scaled = np.asarray(a) * np.ldexp(1.0, -e)[..., None, None]
+    return np.ldexp(RANK_RTOL * np.linalg.norm(scaled, axis=(-2, -1)), e)
 
 
 def rank_tol(a, tol=None):

@@ -9,6 +9,9 @@ span and null space of a frame's column subsets at the frame's one threshold
 through one scanner that walks the column subsets in increasing cardinality
 and lexicographic order within a cardinality, which makes every reported
 support and every enumerated dual deterministic.
+
+Every dual row (sparsest, enumerated or biorthogonal) is the one vector on
+its support S with psi^j Phi* = e_j, built and checked by ``_certified_row``.
 """
 
 from __future__ import annotations
@@ -37,8 +40,6 @@ from .numerics import (
     nullspace_basis,
     rank_threshold,
     rank_tol,
-    solve_exact,
-    to_float,
 )
 
 DEFAULT_BUDGET = 20_000_000
@@ -226,12 +227,6 @@ def generalized_spark(frame, j, budget=DEFAULT_BUDGET):
     return _row_supports(frame, [j], _Budget(budget))[j][0]
 
 
-def generalized_spark_sum(frame, budget=DEFAULT_BUDGET):
-    """sum_j spark_j, the sparsity of a sparsest dual, from one pass over the
-    subsets that decides every row; all rows share one budget."""
-    return sparsity_bounds(frame, budget)[1]
-
-
 def _row_vector(frame, cols, lam, a):
     """Dual row with (psi^j)_k = conj(lambda_k / a) on the support."""
     exact = frame.is_exact
@@ -246,6 +241,30 @@ def _row_vector(frame, cols, lam, a):
     return row
 
 
+def _certified_row(frame, j, cols):
+    """Dual row of row j on the support ``cols`` with its witness
+    ``(row, lam, a)``, checked once where it is built: psi^j Phi* = e_j
+    exactly on Q, and to within DUAL_CHECK_TOL / sqrt(n) in floating point,
+    so every stack of such rows has ||Psi Phi* - I||_F <= DUAL_CHECK_TOL.
+    The row is zero off its support, so only the support columns enter the
+    check.  A failing row raises NonConvergence."""
+    cols = list(cols)
+    lam, a = _certify(frame, j, cols)
+    row = _row_vector(frame, cols, lam, a)
+    err = row[cols] @ np.conjugate(frame.matrix[:, cols]).T
+    err[j] -= 1
+    exact = frame.is_exact
+    tol = DUAL_CHECK_TOL / math.sqrt(frame.n)
+    if any(err != 0) if exact else np.linalg.norm(err) > tol:
+        resid = float(np.linalg.norm(err.astype(float) if exact else err))
+        raise NonConvergence(
+            f"dual row {j} on support {cols} fails its duality check: "
+            f"residual {resid:.3e}"
+        )
+    row.setflags(write=False)
+    return row, lam, a
+
+
 def sparsest_dual(frame, budget=DEFAULT_BUDGET):
     """One sparsest dual with a row-by-row certificate.
 
@@ -255,35 +274,13 @@ def sparsest_dual(frame, budget=DEFAULT_BUDGET):
     cert = SparsityCertificate(tolerance_dependent=not frame.is_exact)
     rows = []
     for j in range(frame.n):
-        s, cands, _ = supports[j]
-        cols = cands[0]
-        lam, a = _certify(frame, j, cols)
-        rows.append(_row_vector(frame, cols, lam, a))
+        s, (cols, *_), _ = supports[j]
+        row, lam, a = _certified_row(frame, j, cols)
+        rows.append(row)
         cert.rows.append(
             RowCertificate(row=j, spark_j=s, support=cols, coeffs=lam, scale=a)
         )
-    psi = Frame(np.vstack([r.reshape(1, -1) for r in rows]))
-    return psi, cert
-
-
-def _certified_row(frame, j, cols):
-    """Dual row of row j on the support ``cols``, checked once where it is
-    built: psi^j Phi* = e_j exactly on Q, and to within
-    DUAL_CHECK_TOL / sqrt(n) in floating point, so every stack of such rows
-    has ||Psi Phi* - I||_F <= DUAL_CHECK_TOL.  A failing row raises
-    NonConvergence."""
-    row = _row_vector(frame, cols, *_certify(frame, j, cols))
-    err = row @ np.conjugate(frame.matrix).T
-    err[j] -= 1
-    exact = frame.is_exact
-    resid = float(np.linalg.norm(err.astype(float) if exact else err))
-    if any(err != 0) if exact else resid > DUAL_CHECK_TOL / math.sqrt(frame.n):
-        raise NonConvergence(
-            f"dual row {j} on support {list(cols)} fails its duality check: "
-            f"residual {resid:.3e}"
-        )
-    row.setflags(write=False)
-    return row
+    return Frame(np.vstack(rows)), cert
 
 
 class SparsestDuals(Sequence):
@@ -329,7 +326,7 @@ def enumerate_sparsest_duals(frame, limit=None, budget=DEFAULT_BUDGET):
     sequence of the first ones, whose ``count`` is the full number."""
     supports = _row_supports(frame, range(frame.n), _Budget(budget))
     duals = SparsestDuals(tuple(
-        tuple(sorted((_certified_row(frame, j, c) for c in supports[j][1]),
+        tuple(sorted((_certified_row(frame, j, c)[0] for c in supports[j][1]),
                      key=tuple))
         for j in range(frame.n)
     ), limit)
@@ -351,7 +348,9 @@ def sparsity_bounds(frame, budget=DEFAULT_BUDGET):
 
 
 def biorthogonal_dual(frame, cols=None):
-    """Dual supported on n columns: inverse-adjoint of Phi_J on J, zero off J.
+    """Dual supported on n columns J: the inverse-adjoint of Phi_J on J,
+    zero off J.  Row j is the one vector on J with psi^j Phi* = e_j, built
+    and checked by ``_certified_row``.
 
     ``cols=None`` selects the lexicographically first independent n-subset.
     """
@@ -368,22 +367,10 @@ def biorthogonal_dual(frame, cols=None):
     cols = list(cols)
     if len(cols) != n:
         raise SingularSubset(f"need exactly n={n} columns, got {len(cols)}")
-    block = frame.matrix[:, cols]
-    if frame.is_exact:
-        inv = solve_exact(block, np.eye(n, dtype=int).astype(object))
-        if inv is None:
-            raise SingularSubset(f"columns {cols} are not independent")
-        psi_block = np.conjugate(inv).T
-        psi = np.array([[Fraction(0)] * m for _ in range(n)], dtype=object)
-    else:
-        if rank_tol(block, frame.tol) < n:
-            raise SingularSubset(f"columns {cols} are not independent")
-        inv = np.linalg.inv(to_float(block))
-        psi_block = inv.conj().T
-        psi = np.zeros((n, m), dtype=psi_block.dtype)
-    for k, c in enumerate(cols):
-        psi[:, c] = psi_block[:, k]
-    return Frame(psi)
+    if rank_tol(frame.matrix[:, cols], frame.tol) < n:
+        raise SingularSubset(f"columns {cols} are not independent")
+    return Frame(np.vstack([_certified_row(frame, j, cols)[0]
+                            for j in range(n)]))
 
 
 def is_general_position(a, budget=DEFAULT_BUDGET):

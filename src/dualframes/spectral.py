@@ -23,7 +23,7 @@ from .errors import (
     NoTightDual,
     TooManyPicks,
 )
-from .frames import DualParametrization
+from .frames import DualParametrization, check_squares, square_is_finite
 
 # relative margins, so that no verdict depends on the frame's units: the
 # sigma_n cluster, each interlacing inequality (and a target's order and
@@ -79,13 +79,6 @@ def classify_tight_dual(n, m, sigma):
     return TightDualSpec(sigma_psi=1.0 / sigma[-1], case=case, p=p), exists
 
 
-def _square_is_finite(x):
-    """True iff x^2 is a finite double; the free rows take the square of a
-    value, which ** would turn into an OverflowError."""
-    x = float(x)
-    return math.isfinite(x * x)
-
-
 def _orthogonal_dual(fac, picks):
     """The dual that raises the canonical value 1/sigma_i to q for each pick
     {i: q}: free row s_i = sqrt(q^2 - 1/sigma_i^2) e_k, with k running over
@@ -121,7 +114,7 @@ def tight_dual(frame, sigma_psi=None):
         raise BoundInfeasible(
             f"sigma_psi above 1/sigma_n requires m >= 2n (m={m}, n={n})"
         )
-    if not _square_is_finite(sigma_psi):
+    if not square_is_finite(sigma_psi):
         raise BoundInfeasible(f"sigma_psi {sigma_psi} has no finite square")
     if not strict and not exists:
         raise NoTightDual(
@@ -150,7 +143,7 @@ def prescribed_spectrum_dual(frame, picks):
             raise BadTarget(f"pick index {i} outside [0, {n})")
         if not math.isfinite(q):
             raise BadTarget(f"pick {q} at index {i} is not a finite number")
-        if not _square_is_finite(q):
+        if not square_is_finite(q):
             raise BadTarget(f"pick {q} has no finite square")
         if q < 1.0 / fac.sigma[i] * (1 - FLOOR_RTOL):
             raise BelowCanonical(
@@ -228,8 +221,10 @@ def dual_bound_range(frame):
 
 def lambda_region(frame):
     """Per-eigenvalue intervals [1/lambda_{n-i+1}, 1/lambda_{n-i+r+1}] of
-    admissible dual frame-operator spectra (inf when the index underflows)."""
+    admissible dual frame-operator spectra (inf when the index underflows);
+    BoundInfeasible if a bound is not a finite double (``check_squares``)."""
     sigma = numerics.singular_values(frame.matrix)
+    check_squares(sigma)
     lam = sigma ** 2
     return _interlacing(1.0 / lam[::-1], frame.m - frame.n)
 

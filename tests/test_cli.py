@@ -232,13 +232,23 @@ class TestSparsest:
         assert rep["results"]["count"] == len(duals) > 5
 
     def test_failing_candidate_row_exit(self, capsys, monkeypatch, tmp_path):
-        # the sparsest dual's own check is skipped, so exit 9 comes from the
-        # enumeration's row certification
+        # exit 9 comes from sparsest_dual's own row check, which fails
+        # before the enumeration starts; the whole-dual re-check patched
+        # here is no longer on the sparsest path
         path = str(tmp_path / "f.csv")
         write_matrix(seeded_frames()["real"].matrix, path)
         monkeypatch.setattr(sparsity, "_row_vector", rows_off_by(1e-6))
         monkeypatch.setattr(cli, "_verified_residual", lambda frame, dual: 0.0)
         assert main(["sparsest", path, "--all"]) == 9
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "fails its duality check" in captured.err
+
+    def test_failing_sparsest_row_exit(self, capsys, monkeypatch,
+                                       spectral_file):
+        # every row of the sparsest dual is checked where it is built
+        monkeypatch.setattr(sparsity, "_row_vector", rows_off_by(1e-6))
+        assert main(["sparsest", spectral_file]) == 9
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "fails its duality check" in captured.err
@@ -269,7 +279,7 @@ class TestSpectralCommands:
         )
 
     @pytest.mark.parametrize(
-        "argv", [["tight"], ["prescribe", "--picks", "1=1"], ["sparsest"]])
+        "argv", [["tight"], ["prescribe", "--picks", "1=1"]])
     def test_unverified_dual_exit(self, capsys, monkeypatch, spectral_file, argv):
         monkeypatch.setattr(cli, "is_dual", lambda phi, psi, tol: (False, 0.5))
         assert main([argv[0], spectral_file, *argv[1:]]) == 9
@@ -599,6 +609,26 @@ class TestOverflowingValues:
         assert captured.out == ""
         assert "built dual" in captured.err
         assert "not a frame:" not in captured.err
+
+    @pytest.mark.parametrize("scale", ["e160", "e-160"])
+    def test_scaled_frame(self, capsys, tmp_path, scale):
+        # the wide frame times 1e160 or 1e-160: its rank threshold is finite,
+        # so it is a frame, but sigma_1^2 (at 1e160) or 1/sigma_2^2 (at
+        # 1e-160) is not a double, so analyze names that bound
+        path = tmp_path / "scaled.csv"
+        path.write_text("# field=real\n" + "".join(
+            ",".join(f"{x}{scale}" for x in row.split(",")) + "\n"
+            for row in WIDE_2X4_CSV.splitlines()))
+        assert main(["sparsest", str(path)]) == 0
+        assert main(["feasible", str(path), "--spectrum", "1,1"]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(path)]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        bound = "sigma_1^2" if scale == "e160" else "1/sigma_2^2"
+        assert f"error: {bound} = " in captured.err
+        if scale == "e-160":
+            assert main(["tight", str(path)]) == 5
 
 
 class TestPickIndices:

@@ -1,9 +1,15 @@
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dualframes.errors import IndexOutOfRange, RankDeficient, ShapeMismatch
+from dualframes.errors import (
+    BoundInfeasible,
+    IndexOutOfRange,
+    RankDeficient,
+    ShapeMismatch,
+)
 from dualframes.frames import (
     DualParametrization,
     Frame,
@@ -75,6 +81,18 @@ def test_frame_bounds_spectral(ex_spectral):
     b = frame_bounds(ex_spectral)
     assert abs(b.lower - 0.25) <= 1e-12
     assert abs(b.upper - 9.0) <= 1e-12
+
+
+@pytest.mark.parametrize("sigma, name", [
+    ((3e160, 5e159), "sigma_1^2"),
+    ((3e155, 5e152), "sigma_1^2"),
+    ((3e-150, 5e-155), "1/sigma_2^2"),
+    ((3e-170, 5e-171), "1/sigma_2^2"),
+])
+def test_frame_bounds_without_finite_square(sigma, name):
+    # x^2 overflows for x above about 1.3e154
+    with pytest.raises(BoundInfeasible, match=re.escape(name)):
+        frame_bounds(Frame(np.diag(sigma)))
 
 
 class TestCanonicalDual:

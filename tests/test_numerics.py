@@ -102,6 +102,40 @@ class TestRank:
         assert nm.rank_tol(np.zeros((3, 0, 2))).tolist() == [0, 0, 0]
 
 
+class TestRankThreshold:
+    WIDE = np.array([[1, 0, 1, 0.5], [0, 2, 1, -0.5]])
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e300, 1e-300])
+    @pytest.mark.parametrize("field", [float, complex])
+    def test_scales_with_the_matrix(self, scale, field):
+        # the squares of entries near 1e160 overflow and those near 1e-160
+        # underflow; the threshold still scales with the matrix
+        a = self.WIDE.astype(field) * (1 + 1j if field is complex else 1)
+        tau = nm.rank_threshold(a * scale)
+        assert np.isfinite(tau) and tau > 0
+        assert tau == pytest.approx(nm.rank_threshold(a) * scale, rel=1e-12)
+        assert nm.rank_tol(a * scale, tau) == 2
+
+    def test_same_bits_as_the_plain_norm(self):
+        # scaling by a power of two is exact, so wherever the plain norm
+        # is finite the threshold is the same double
+        rng = np.random.default_rng(8)
+        for k in range(600):
+            a = rng.standard_normal((3, 5)) * 10.0 ** rng.uniform(-100, 100)
+            if k % 2:
+                a = a + 1j * rng.standard_normal((3, 5)) * abs(a).max()
+            assert nm.rank_threshold(a) == nm.RANK_RTOL * np.linalg.norm(
+                a, axis=(-2, -1))
+        stack = rng.standard_normal((6, 2, 3)) * np.logspace(-90, 90, 6)[
+            :, None, None]
+        assert nm.rank_threshold(stack).tolist() == (
+            nm.RANK_RTOL * np.linalg.norm(stack, axis=(-2, -1))).tolist()
+
+    def test_zero_and_rational(self):
+        assert nm.rank_threshold(np.zeros((2, 3))) == 0
+        assert nm.rank_threshold(frac_matrix([[1, 2]])) is None
+
+
 class TestBareiss:
     def test_integer_rows_keep_column_relations(self):
         a = frac_matrix([[Fraction(1, 2), Fraction(1, 3), 0], [2, 4, Fraction(-5, 6)]])

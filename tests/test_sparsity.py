@@ -23,7 +23,6 @@ from dualframes.sparsity import (
     biorthogonal_dual,
     enumerate_sparsest_duals,
     generalized_spark,
-    generalized_spark_sum,
     in_P,
     is_general_position,
     nnz,
@@ -387,6 +386,19 @@ def test_failing_candidate_row_raises(monkeypatch, kind):
         enumerate_sparsest_duals(f)
 
 
+@pytest.mark.parametrize("kind", ["integer", "real", "complex"])
+@pytest.mark.parametrize("build", [sparsest_dual, biorthogonal_dual],
+                         ids=["sparsest", "biorthogonal"])
+def test_failing_built_row_raises(monkeypatch, build, kind):
+    # every row of the sparsest and the biorthogonal dual is checked where
+    # it is built
+    f = seeded_frames()[kind]
+    delta = Fraction(1, 10**6) if f.is_exact else 1e-6
+    monkeypatch.setattr(sparsity, "_row_vector", rows_off_by(delta))
+    with pytest.raises(NonConvergence, match="row 0 on support"):
+        build(f)
+
+
 def test_sparsity_bounds(ex_sparse):
     assert sparsity_bounds(ex_sparse) == (3, 3, 4)
 
@@ -406,7 +418,7 @@ def test_spark_sum_matches_per_row_sums():
                     pass
         for g in at_tols:
             per_row = sum(generalized_spark(g, j) for j in range(g.n))
-            assert generalized_spark_sum(g) == per_row
+            assert sparsity_bounds(g)[1] == per_row
         assert sparsity_bounds(f)[:2] == (
             sum(spark(row_delete(f, j)).spark for j in range(f.n)),
             sum(generalized_spark(f, j) for j in range(f.n)),
@@ -480,6 +492,32 @@ class TestBiorthogonal:
                 off = [c for c in range(6) if c not in cols]
                 assert not np.any(psi[:, off] != 0)
         assert singular > 0
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_float_frames_every_subset(self, kind, n):
+        # a dual on J for every n-subset J independent at the frame's
+        # threshold, SingularSubset exactly on the others
+        rng = np.random.default_rng(15 + n)
+        for _ in range(4):
+            a = rng.standard_normal((n, 5))
+            if kind == "complex":
+                a = a + 1j * rng.standard_normal((n, 5))
+            a[:, 4] = a[:, 0] * 3  # a dependent pair for n >= 2
+            a[:, 3] = 0.0  # a zero column: dependent for n = 1
+            f = Frame(a)
+            for cols in itertools.combinations(range(5), n):
+                if rank_tol(f.matrix[:, cols], f.tol) < n:
+                    with pytest.raises(SingularSubset):
+                        biorthogonal_dual(f, cols=cols)
+                    continue
+                psi = biorthogonal_dual(f, cols=cols)
+                assert psi.matrix.dtype == f.matrix.dtype
+                assert is_dual(f, psi, DUAL_CHECK_TOL)[0]
+                off = [c for c in range(5) if c not in cols]
+                assert not np.any(psi.matrix[:, off] != 0)
+            assert biorthogonal_dual(f) == biorthogonal_dual(
+                f, cols=range(n))
 
 
 class TestGeneralPosition:

@@ -409,6 +409,15 @@ def test_lambda_region(ex_spectral):
     assert region[1][1] == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e-160])
+def test_lambda_region_without_finite_bound(ex_spectral, scale):
+    # sigma_1^2 overflows at 1e160 and 1/sigma_2^2 at 1e-160
+    with pytest.raises(BoundInfeasible, match=r"\^2 is not finite"):
+        lambda_region(Frame(ex_spectral.matrix * scale))
+    assert lambda_region(Frame(ex_spectral.matrix * 1e100))[1][0] == (
+        pytest.approx(1e-200 / 9.0))
+
+
 class TestEigs2x3:
     def test_double_eigenvalue_at_tight_point(self):
         l1, l2 = dual_eigs_2x3(3.0, 0.5, SQRT35_3, 0.0)
