@@ -7,7 +7,6 @@ from .frames import (
     Frame,
     FrameBounds,
     canonical_dual,
-    dual_from_perturbation,
     dual_set_dimension,
     frame_bounds,
     frame_operator,
@@ -25,7 +24,6 @@ from .sparsity import (
     sparsity_bounds,
 )
 from .spectral import (
-    dual_bound_range,
     dual_eigs_2x3,
     lambda_region,
     prescribed_spectrum_dual,
@@ -45,9 +43,7 @@ __all__ = [
     "FrameBounds",
     "biorthogonal_dual",
     "canonical_dual",
-    "dual_bound_range",
     "dual_eigs_2x3",
-    "dual_from_perturbation",
     "dual_set_dimension",
     "enumerate_sparsest_duals",
     "frame_bounds",

@@ -84,14 +84,6 @@ class BadShape(DualFramesError, ValueError):
     """Operation restricted to a specific matrix shape."""
 
 
-class ScheduleExhausted(DualFramesError):
-    """No step in the nudge schedule produced a generic frame."""
-
-    def __init__(self, message, last_t=None):
-        super().__init__(message)
-        self.last_t = last_t
-
-
 class ParseError(DualFramesError, ValueError):
     """Matrix file could not be parsed."""
 

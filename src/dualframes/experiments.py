@@ -20,7 +20,6 @@ from .errors import (
     BadTarget,
     DuplicateNode,
     RankDeficient,
-    ScheduleExhausted,
     ZeroWindow,
 )
 from .frames import Frame
@@ -28,11 +27,15 @@ from .numerics import singular_values
 from .spectral import dual_eigs_2x3
 
 
-def vandermonde_frame(xs, ys, check_general_position=True):
+def vandermonde_frame(xs, ys):
     """Generalized Vandermonde frame: entry (i, j) = xs_j ** ys_i.
 
-    All m column nodes xs and n row exponents ys must be distinct positives;
-    every row-deleted submatrix is then in general position.
+    All m column nodes xs and n row exponents ys must be distinct positives.
+    The matrix is then strictly totally positive, so in exact arithmetic
+    every row-deleted submatrix is in general position.  Float rank
+    decisions need not agree: for ill-conditioned nodes, whose small powers
+    fall below the frame's rank threshold, ``sparsest`` reports a
+    tolerance-dependent spark.
     """
     xs = [float(x) for x in xs]
     ys = [float(y) for y in ys]
@@ -41,10 +44,7 @@ def vandermonde_frame(xs, ys, check_general_position=True):
     if any(x <= 0 for x in xs) or any(y <= 0 for y in ys):
         raise DuplicateNode("nodes and exponents must be positive")
     mat = np.array([[x ** y for x in xs] for y in ys])
-    frame = Frame(mat)
-    if check_general_position and len(ys) <= 5 and len(xs) <= 10:
-        assert sparsity.in_P(frame), "Vandermonde frame unexpectedly degenerate"
-    return frame
+    return Frame(mat)
 
 
 def partial_dft_frame(n, m):
@@ -151,41 +151,6 @@ def _spark_sum_at(frame, tol, kwargs):
     except RankDeficient:
         return None
     return sparsity.sparsity_bounds(refit, **kwargs)[1]
-
-
-def default_generic_frame(n, m):
-    """A generalized Vandermonde frame used as the generic nudge target."""
-    xs = [1.0 + i for i in range(m)]
-    ys = [0.5 + 0.6 * i for i in range(n)]
-    return vandermonde_frame(xs, ys, check_general_position=False)
-
-
-def nudge_to_generic(frame0, frame1=None, t_schedule=None, budget=None):
-    """Smallest scheduled t with (1-t) Phi_0 + t Phi_1 in P.
-
-    Returns (t, frame).  t = 0 when the input is already generic.  The
-    default target Phi_1 is a generalized Vandermonde frame, the default
-    schedule is 10^-k for k = 12..1 scanned from the smallest step up.
-    """
-    kwargs = {} if budget is None else {"budget": budget}
-    if sparsity.in_P(frame0, **kwargs):
-        return 0.0, frame0
-    if frame1 is None:
-        frame1 = default_generic_frame(frame0.n, frame0.m)
-    if frame1.matrix.shape != frame0.matrix.shape:
-        raise BadShape("nudge target must match the frame shape")
-    if t_schedule is None:
-        t_schedule = [10.0 ** -k for k in range(12, 0, -1)]
-    last = None
-    for t in sorted(t_schedule, key=abs):
-        last = t
-        try:
-            cand = Frame(t * frame1.as_float() + (1 - t) * frame0.as_float())
-        except RankDeficient:
-            continue
-        if sparsity.in_P(cand, **kwargs):
-            return t, cand
-    raise ScheduleExhausted("no scheduled step landed in P", last_t=last)
 
 
 def surface_2x3(frame, s_range=(-3.0, 3.0), step=0.05):

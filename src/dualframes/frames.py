@@ -1,10 +1,10 @@
 """Frame abstraction: bounds, frame operator, canonical dual, duality checks,
-and the two parametrizations of the set of all duals.
+and the parametrization of the set of all duals.
 
 A frame is a full-rank n-by-m matrix whose columns are the frame vectors.
-Exact-arithmetic duals are produced through perturbation and exact solves;
-the SVD parametrization is floating-point only (U, V are irrational in
-general).  It works from the thin SVD Phi = U diag(sigma) V1*: a dual
+The set of all duals has one description, through the SVD, and it is
+floating-point only (U, V are irrational in general); exact duals come from
+exact solves.  It works from the thin SVD Phi = U diag(sigma) V1*: a dual
 U [diag(1/sigma) | S] [V1 | V2]* needs V2 only through the product S V2*,
 which the Householder completion of V1 supplies without an m-by-m matrix.
 Row indices are 0-based throughout.
@@ -26,10 +26,8 @@ from .errors import (
     ShapeMismatch,
 )
 from .numerics import (
-    DEFAULT_TOL,
     SVDFactors,
     field_of,
-    frobenius,
     is_rational,
     rank_threshold,
     rank_tol,
@@ -75,11 +73,6 @@ class Frame:
         return cls(numerics.as_rational(entries))
 
     @property
-    def redundancy(self):
-        """Dimension gap r = m - n of the dual affine space per row."""
-        return self.m - self.n
-
-    @property
     def field(self):
         return field_of(self.matrix)
 
@@ -99,9 +92,6 @@ class Frame:
         return self.matrix.shape == other.matrix.shape and bool(
             np.all(self.matrix == other.matrix)
         )
-
-    def __hash__(self):
-        return hash((self.n, self.m))
 
 
 def row_delete(frame, j):
@@ -169,7 +159,7 @@ def duality_residual(phi, psi):
         for i in range(n):
             for j in range(n):
                 g[i, j] = g[i, j] - (1 if i == j else 0)
-        return frobenius(g)
+        return float(sum(x * x for x in g.flat)) ** 0.5
     g = to_float(qm) @ np.conjugate(to_float(pm)).T
     return float(np.linalg.norm(g - np.eye(n)))
 
@@ -178,28 +168,10 @@ def duality_residual(phi, psi):
 DUAL_CHECK_TOL = 1e-9
 
 
-def is_dual(phi, psi, tol=DEFAULT_TOL):
+def is_dual(phi, psi, tol=DUAL_CHECK_TOL):
     """True iff ||Psi Phi* - I||_F <= tol; returns (bool, residual)."""
     resid = duality_residual(phi, psi)
     return resid <= tol, resid
-
-
-def dual_from_perturbation(phi, psi, e):
-    """Psi + E (I - Phi* Psi): always a dual of Phi when Psi is one."""
-    pm = phi.matrix if isinstance(phi, Frame) else np.asarray(phi)
-    qm = psi.matrix if isinstance(psi, Frame) else np.asarray(psi)
-    e = np.asarray(e)
-    if pm.shape != qm.shape or e.shape != pm.shape:
-        raise ShapeMismatch("phi, psi, and E must share the n-by-m shape")
-    m = pm.shape[1]
-    cross = np.conjugate(pm).T @ qm
-    if is_rational(cross):
-        proj = -cross
-        for i in range(m):
-            proj[i, i] = proj[i, i] + 1
-    else:
-        proj = np.eye(m) - cross
-    return Frame(qm + e @ proj)
 
 
 @dataclass
@@ -225,11 +197,6 @@ class DualParametrization:
         self.s_block = np.asarray(self.s_block)
         if self.s_block.shape != (n, r):
             raise ShapeMismatch(f"s block must be {n}-by-{r}")
-
-    @classmethod
-    def of(cls, frame, s_block=None):
-        return cls(svd=numerics.svd(frame.as_float() if isinstance(frame, Frame) else frame),
-                   s_block=s_block)
 
     def realize(self):
         """U [diag(1/sigma) | S] [V1 | V2]* = U (diag(1/sigma) V1* + S V2*),

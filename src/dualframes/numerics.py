@@ -213,8 +213,6 @@ def _back_substitute(rows, pivots, t):
 def rank_exact(a):
     """Rank over the rationals by fraction-free elimination."""
     a = np.asarray(a, dtype=object)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
     return len(_echelon(integer_rows(a), a.shape[1]))
 
 
@@ -241,8 +239,6 @@ def rank_tol(a, tol=None):
     ``rank_threshold``.
     """
     a = np.asarray(a)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
     if a.ndim > 2:
         if is_rational(a):
             return np.array([rank_exact(x) for x in a], dtype=int)
@@ -277,8 +273,6 @@ def nullspace_exact(a):
     """Exact rational nullspace basis; column k is the kernel vector with
     entry 1 at the k-th free column and 0 at the other free columns."""
     a = np.asarray(a, dtype=object)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
     n_cols = a.shape[1]
     rows = integer_rows(a)
     pivots = _echelon(rows, n_cols)
@@ -295,8 +289,6 @@ def nullspace_basis(a, tol=None):
     the singular values above ``tol`` (default ``rank_threshold(a)``);
     exact on rational inputs."""
     a = np.asarray(a)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
     if is_rational(a):
         return nullspace_exact(a)
     _, s, vh = np.linalg.svd(a, full_matrices=True)
@@ -314,8 +306,6 @@ def solve_exact(a, b):
     one row, so a row of ``a`` and its right-hand side share one scale.
     """
     a = np.asarray(a, dtype=object)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
     b = np.asarray(b, dtype=object)
     if any(not isinstance(x, (Fraction, int)) for x in (*a.flat, *b.flat)):
         raise FieldMismatch("solve_exact requires rational entries")
@@ -336,11 +326,3 @@ def solve_exact(a, b):
             rows, pivots, [row[n_cols + j] for row in rows]
         )
     return out[:, 0] if vector_rhs else out
-
-
-def frobenius(a):
-    """Frobenius norm, valid for all three fields."""
-    a = np.asarray(a)
-    if is_rational(a):
-        return float(sum(Fraction(x) ** 2 for x in a.flat)) ** 0.5
-    return float(np.linalg.norm(a))

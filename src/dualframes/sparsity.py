@@ -158,8 +158,6 @@ class _Scanner:
 def spark(a, budget=DEFAULT_BUDGET):
     """Smallest number of linearly dependent columns; m+1 if none exist."""
     a = np.asarray(a)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
     n, m = a.shape
     exact = is_rational(a)
     tol = rank_threshold(a)
@@ -376,8 +374,6 @@ def biorthogonal_dual(frame, cols=None):
 def is_general_position(a, budget=DEFAULT_BUDGET):
     """True iff every maximal square submatrix has full rank."""
     a = np.asarray(a)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
     n, m = a.shape
     if n > m:
         raise ValueError("general position is defined for rows <= cols")
@@ -395,11 +391,3 @@ def in_P(frame, budget=DEFAULT_BUDGET):
         np.all(deleted == frame.n - 1)
         for _, _, deleted in scan.chunks(frame.n - 1, rows)
     )
-
-
-def nnz(mat, tol=0.0):
-    """Number of nonzero entries; exact test on rational matrices."""
-    m = mat.matrix if isinstance(mat, Frame) else np.asarray(mat)
-    if is_rational(m):
-        return int(sum(1 for x in m.flat if x != 0))
-    return int(np.sum(np.abs(m) > tol))

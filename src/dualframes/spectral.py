@@ -210,15 +210,6 @@ def spectrum_feasible(frame, target):
     )
 
 
-def dual_bound_range(frame):
-    """Admissible dual frame bounds (lower, upper): the ``lambda_region``
-    intervals of the smallest and the largest dual frame-operator
-    eigenvalue.  A square frame has only the canonical dual, so both are
-    points there."""
-    region = lambda_region(frame)
-    return region[-1], region[0]
-
-
 def lambda_region(frame):
     """Per-eigenvalue intervals [1/lambda_{n-i+1}, 1/lambda_{n-i+r+1}] of
     admissible dual frame-operator spectra (inf when the index underflows);

@@ -158,37 +158,27 @@ def tetris_sparsity(plan):
     return 2 * plan.n - plan.k_hat
 
 
-def basis_row_count(frame_matrix):
-    """Number of rows hosting a standard basis column in a realized frame;
-    independent cross-check of k_hat."""
-    mat = np.asarray(frame_matrix)
-    hosts = set()
-    for c in range(mat.shape[1]):
-        col = mat[:, c]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        if len(nz) == 1 and abs(col[nz[0]] - 1.0) < 1e-12:
-            hosts.add(int(nz[0]))
-    return len(hosts)
-
-
 def tetris_sparse_dual(plan):
     """Optimal sparse dual built row by row.
 
     Rows hosting a ones-column are 1-sparse (indicator of that column); the
-    rest are 2-sparse, supported on the own block B_j (weights 1/(2 a_j)) or,
-    for the closing row of a block run, on B_{j-1} (weights +-1/(2 b_{j-1})).
+    rest are 2-sparse, supported on their own block B_j (weights 1/(2 a_j)).
+
+    Every row without a block has a ones-column.  By induction on j,
+    r_j = frac(sum_{i<=j} lambda_i), so j - 1 not in K gives r_{j-1} > 0.
+    Row j has no block exactly when j is in K.  If j - 1 is in K too, then
+    t_j = lambda_j >= 2.  Otherwise t_j = lambda_j - 2 + r_{j-1} differs
+    from the integer sum_{i<=j} lambda_i by an integer, so it is a positive
+    integer, as it exceeds lambda_j - 2 >= 0.  Either way m_j = floor(t_j)
+    >= 1.
     """
     psi = np.zeros((plan.n, plan.m))
     for j in range(1, plan.n + 1):
         row = plan.layout[j - 1]
         if row.ones:
             psi[j - 1, row.ones[0]] = 1.0
-        elif row.block is not None:
+        else:
             a, _ = plan.blocks[j]
             psi[j - 1, row.block[0]] = 1.0 / (2 * a)
             psi[j - 1, row.block[1]] = 1.0 / (2 * a)
-        else:
-            _, b = plan.blocks[j - 1]
-            psi[j - 1, row.prev_block[0]] = 1.0 / (2 * b)
-            psi[j - 1, row.prev_block[1]] = -1.0 / (2 * b)
     return Frame(psi)

@@ -3,8 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dualframes import sparsity
-from dualframes.frames import Frame
+from dualframes import numerics, sparsity
+from dualframes.frames import DualParametrization, Frame
+from dualframes.numerics import is_rational
 
 # The 2x3 frame of the sparsest-dual worked example.
 EX_SPARSE = [[1, -1, 0], [1, 2, -1]]
@@ -112,6 +113,21 @@ def seeded_frames(seed=41):
             rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
         ),
     }
+
+
+def nnz(mat, tol=0.0):
+    """Number of nonzero entries; exact test on rational matrices."""
+    m = mat.matrix if isinstance(mat, Frame) else np.asarray(mat)
+    if is_rational(m):
+        return int(sum(1 for x in m.flat if x != 0))
+    return int(np.sum(np.abs(m) > tol))
+
+
+def parametrization(frame, s_block=None):
+    """The dual set of a frame or matrix, from its thin SVD, at ``s_block``."""
+    return DualParametrization(
+        svd=numerics.svd(frame.as_float() if isinstance(frame, Frame) else frame),
+        s_block=s_block)
 
 
 def rows_off_by(delta):

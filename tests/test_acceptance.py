@@ -18,7 +18,6 @@ from dualframes.experiments import (
     vandermonde_frame,
 )
 from dualframes.frames import (
-    DualParametrization,
     Frame,
     frame_bounds,
     frame_operator,
@@ -28,7 +27,6 @@ from dualframes.numerics import singular_values
 from dualframes.sparsity import (
     biorthogonal_dual,
     generalized_spark,
-    nnz,
     sparsity_bounds,
 )
 from dualframes.spectral import (
@@ -43,7 +41,7 @@ from dualframes.tetris import (
     tetris_sparsity,
 )
 
-from conftest import EX_SPARSE, EX_SPECTRAL, random_integer_frame
+from conftest import EX_SPARSE, EX_SPECTRAL, nnz, parametrization, random_integer_frame
 
 SQRT35_3 = math.sqrt(35.0) / 3.0
 
@@ -140,7 +138,7 @@ def test_criterion_3_interlacing_suite(capsys):
             r = m - n
             for _ in range(20):
                 s_block = rng.uniform(-3, 3, size=(n, r))
-                dual = DualParametrization.of(frame, s_block).realize()
+                dual = parametrization(frame, s_block).realize()
                 spec = singular_values(dual.matrix)  # non-increasing
                 for i in range(1, n + 1):
                     if spec[i - 1] - 1.0 / sigma[n - i] < -1e-9:

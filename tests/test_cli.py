@@ -511,6 +511,17 @@ class TestGenerate:
         assert code == 0
         assert read_matrix(out).shape == (2, 4)
 
+    def test_vandermonde_with_ill_conditioned_nodes(self, capsys, tmp_path):
+        # strictly totally positive, so in general position, although
+        # float rank decisions at the frame's threshold do not all say so
+        out = str(tmp_path / "v.csv")
+        code = main([
+            "generate", "vandermonde", "--xs", "0.25,0.7,1,1.5,2,2.75,3.25,3.4,4.3",
+            "--ys", "5,10,15", "-o", out,
+        ])
+        assert code == 0, capsys.readouterr().err
+        assert read_matrix(out).shape == (3, 9)
+
     def test_dft(self, capsys, tmp_path):
         out = str(tmp_path / "d.csv")
         assert main(["generate", "dft", "-n", "2", "-m", "5", "-o", out]) == 0

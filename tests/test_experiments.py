@@ -5,14 +5,11 @@ from dualframes import experiments
 from dualframes.errors import (
     BadShape,
     DuplicateNode,
-    ScheduleExhausted,
     ZeroWindow,
 )
 from dualframes.experiments import (
-    default_generic_frame,
     gabor_frame,
     genericity_trial,
-    nudge_to_generic,
     partial_dft_frame,
     sample_gaussian_frame,
     surface_2x3,
@@ -107,28 +104,6 @@ class TestGenericity:
     def test_rejects_unknown_dist(self):
         with pytest.raises(ValueError):
             genericity_trial(2, 3, trials=1, seed=0, dist="cauchy")
-
-
-class TestNudge:
-    def test_already_generic(self):
-        f = default_generic_frame(2, 4)
-        t, out = nudge_to_generic(f)
-        assert t == 0.0
-        assert out is f
-
-    def test_degenerate_input_gets_small_step(self):
-        # a zero pattern keeps every row-deleted submatrix out of
-        # general position
-        f0 = Frame(np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]]))
-        t, out = nudge_to_generic(f0)
-        assert 0 < t <= 1e-6
-        assert in_P(out)
-
-    def test_schedule_exhausted(self):
-        f0 = Frame(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
-        with pytest.raises(ScheduleExhausted):
-            # nudging toward itself can never become generic
-            nudge_to_generic(f0, frame1=f0, t_schedule=[0.5, 1.0])
 
 
 class TestSurface:

@@ -11,10 +11,8 @@ from dualframes.errors import (
     ShapeMismatch,
 )
 from dualframes.frames import (
-    DualParametrization,
     Frame,
     canonical_dual,
-    dual_from_perturbation,
     dual_set_dimension,
     duality_residual,
     frame_bounds,
@@ -23,13 +21,12 @@ from dualframes.frames import (
     row_delete,
 )
 
-from conftest import EX_SPARSE, frac_matrix, random_integer_frame
+from conftest import EX_SPARSE, frac_matrix, parametrization, random_integer_frame
 
 
 class TestFrame:
     def test_basic_properties(self, ex_sparse):
         assert (ex_sparse.n, ex_sparse.m) == (2, 3)
-        assert ex_sparse.redundancy == 1
         assert ex_sparse.field == "rational"
         assert ex_sparse.is_exact
 
@@ -103,12 +100,12 @@ class TestCanonicalDual:
             [Fraction(3, 11), Fraction(3, 11), Fraction(-2, 11)],
         ]
         assert psi.matrix.tolist() == expected
-        ok, resid = is_dual(ex_sparse, psi)
+        ok, resid = is_dual(ex_sparse, psi, 1e-10)
         assert ok and resid == 0
 
     def test_float_path(self, ex_spectral):
         psi = canonical_dual(ex_spectral)
-        ok, resid = is_dual(ex_spectral, psi)
+        ok, resid = is_dual(ex_spectral, psi, 1e-10)
         assert ok
         assert resid <= 1e-12
 
@@ -123,7 +120,7 @@ class TestCanonicalDual:
     @pytest.mark.parametrize("seed", range(3))
     def test_ill_conditioned_1e4(self, seed):
         f = self._conditioned(1e4, seed)
-        ok, resid = is_dual(f, canonical_dual(f))
+        ok, resid = is_dual(f, canonical_dual(f), 1e-10)
         assert ok, resid
 
     @pytest.mark.parametrize("seed", range(3))
@@ -139,19 +136,9 @@ class TestCanonicalDual:
             assert is_dual(f, psi)[1] == 0
 
 
-def test_dual_from_perturbation(ex_sparse):
-    psi = canonical_dual(ex_sparse)
-    e = frac_matrix([[1, -2, 3], [0, 5, -1]])
-    other = dual_from_perturbation(ex_sparse, psi, e)
-    assert is_dual(ex_sparse, other)[1] == 0
-    # a second perturbation of the perturbed dual is still a dual
-    again = dual_from_perturbation(ex_sparse, other, e)
-    assert is_dual(ex_sparse, again)[1] == 0
-
-
 class TestDualParametrization:
     def test_zero_block_is_canonical(self, ex_spectral):
-        par = DualParametrization.of(ex_spectral)
+        par = parametrization(ex_spectral)
         psi = par.realize()
         canon = canonical_dual(ex_spectral)
         np.testing.assert_allclose(psi.matrix, canon.matrix, atol=1e-12)
@@ -160,13 +147,13 @@ class TestDualParametrization:
         rng = np.random.default_rng(5)
         for _ in range(10):
             s = rng.uniform(-4, 4, size=(2, 1))
-            psi = DualParametrization.of(ex_spectral, s).realize()
+            psi = parametrization(ex_spectral, s).realize()
             ok, resid = is_dual(ex_spectral, psi, 1e-9)
             assert ok, resid
 
     def test_block_shape_checked(self, ex_spectral):
         with pytest.raises(ShapeMismatch):
-            DualParametrization.of(ex_spectral, np.zeros((2, 2)))
+            parametrization(ex_spectral, np.zeros((2, 2)))
 
 
 def test_dual_set_dimension(ex_sparse):

@@ -25,7 +25,6 @@ from dualframes.sparsity import (
     generalized_spark,
     in_P,
     is_general_position,
-    nnz,
     spark,
     sparsest_dual,
     sparsity_bounds,
@@ -35,6 +34,7 @@ from conftest import (
     NEAR_DEPENDENT_FRAMES,
     NO_FRAME,
     frac_matrix,
+    nnz,
     random_integer_frame,
     random_rational_matrix,
     rows_off_by,

@@ -25,13 +25,14 @@ from dualframes.spectral import (
     CASE_EXACT_2N_MINUS_1,
     CASE_REDUNDANT_2N,
     classify_tight_dual,
-    dual_bound_range,
     dual_eigs_2x3,
     lambda_region,
     prescribed_spectrum_dual,
     spectrum_feasible,
     tight_dual,
 )
+
+from conftest import parametrization
 
 SQRT35_3 = math.sqrt(35.0) / 3.0
 
@@ -391,14 +392,16 @@ class TestScaleInvariance:
 
 
 def test_dual_bound_range(ex_spectral):
-    (lo_lo, lo_hi), (up_lo, up_hi) = dual_bound_range(ex_spectral)
+    region = lambda_region(ex_spectral)
+    (lo_lo, lo_hi), (up_lo, up_hi) = region[-1], region[0]
     assert lo_lo == pytest.approx(1.0 / 9.0)
     assert lo_hi == pytest.approx(4.0)  # 1/sigma_{m-n+1}^2 with m-n+1 = 2
     assert up_lo == pytest.approx(4.0)
     assert up_hi == math.inf
     # a square frame has only the canonical dual: both ranges are points
     square = Frame(np.diag([2.0, 1.0]))
-    assert dual_bound_range(square) == ((0.25, 0.25), (1.0, 1.0))
+    region = lambda_region(square)
+    assert (region[-1], region[0]) == ((0.25, 0.25), (1.0, 1.0))
 
 
 def test_lambda_region(ex_spectral):
@@ -429,12 +432,10 @@ class TestEigs2x3:
         assert (l1, l2) == (pytest.approx(4.0), pytest.approx(1.0 / 9.0))
 
     def test_matches_direct_operator(self, ex_spectral):
-        from dualframes.frames import DualParametrization
-
         rng = np.random.default_rng(1)
         for _ in range(20):
             s1, s2 = rng.uniform(-3, 3, 2)
-            par = DualParametrization.of(ex_spectral, [[s1], [s2]])
+            par = parametrization(ex_spectral, [[s1], [s2]])
             eigs = np.linalg.eigvalsh(frame_operator(par.realize().matrix))
             l1, l2 = dual_eigs_2x3(3.0, 0.5, s1, s2)
             np.testing.assert_allclose(sorted(eigs), [l2, l1], atol=1e-9)

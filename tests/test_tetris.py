@@ -6,14 +6,27 @@ import pytest
 
 from dualframes.errors import InvalidSpectrum
 from dualframes.frames import frame_operator, is_dual
-from dualframes.sparsity import nnz
 from dualframes.tetris import (
-    basis_row_count,
     tetris_frame,
     tetris_plan,
     tetris_sparse_dual,
     tetris_sparsity,
 )
+
+from conftest import nnz
+
+
+def basis_row_count(frame_matrix):
+    """Number of rows hosting a standard basis column in a realized frame;
+    independent cross-check of k_hat."""
+    mat = np.asarray(frame_matrix)
+    hosts = set()
+    for c in range(mat.shape[1]):
+        col = mat[:, c]
+        nz = np.nonzero(np.abs(col) > 1e-12)[0]
+        if len(nz) == 1 and abs(col[nz[0]] - 1.0) < 1e-12:
+            hosts.add(int(nz[0]))
+    return len(hosts)
 
 
 class TestPlan:
@@ -101,6 +114,25 @@ class TestFrame:
                 plan = tetris_plan(lams)
                 mat = tetris_frame(plan).matrix
                 assert plan.k_hat == basis_row_count(mat), lams
+
+    def test_every_row_has_ones_or_a_block(self):
+        # tetris_sparse_dual builds each row on a ones-column or on its own
+        # block, and its docstring proves that one of them is always there:
+        # every plan with lambda_j = p/d, d <= 6, 2 <= lambda_j <= 4, n <= 4
+        values = sorted({Fraction(p, d) for d in range(1, 7)
+                         for p in range(2 * d, 4 * d + 1)})
+        by_frac = {}
+        for v in values:
+            by_frac.setdefault(v % 1, []).append(v)
+        plans = 0
+        for n in range(1, 5):
+            for head in itertools.product(values, repeat=n - 1):
+                for last in by_frac.get(-sum(head) % 1, []):
+                    plan = tetris_plan([*head, last])
+                    assert all(row.ones or row.block is not None
+                               for row in plan.layout), plan.lambdas
+                    plans += 1
+        assert plans == 13944
 
 
 class TestSparseDual:
